@@ -180,12 +180,21 @@ def main(argv: list[str] | None = None) -> int:
             err.exit_code
     except OSError as err:
         payload, code = {"error": {"kind": "IOError", "detail": str(err)}}, 3
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    text = _dumps(payload)
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            Path(args.output).write_text(text)
+            return code
+        except OSError as err:
+            # the payload could not be delivered where asked: report on stdout
+            text, code = _dumps({"error": {"kind": "IOError",
+                                           "detail": str(err)}}), 3
+    sys.stdout.write(text)
     return code
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 if __name__ == "__main__":

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Span", "rank", "solve", "kernel_combos", "QuotientBasis"]
+__all__ = ["Span", "rank", "solve", "kernel_combos", "QuotientBasis",
+           "set_bits", "scatter"]
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first; costs one step
+    per set bit, not per bit of width."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def scatter(mask: int, positions: List[int]) -> int:
+    """Move bit p of ``mask`` to bit ``positions[p]``."""
+    out = 0
+    for p in set_bits(mask):
+        out |= 1 << positions[p]
+    return out
 
 
 class Span:
@@ -92,13 +110,17 @@ class QuotientBasis:
         self._span = Span()
         for b in boundaries:
             self._span.add(b)
+        # Only vectors that enlarge the span enter a stored combination, so
+        # above the boundary tags a combination holds representative tags.
+        self._first_cycle_tag = self._span.count
         self.reps: list[int] = []
-        self._rep_tags: list[int] = []
+        self._rep_of_tag: list[int] = []  # -1: the cycle added nothing
         for z in cycles:
-            pos = self._span.count
             if self._span.add(z):
+                self._rep_of_tag.append(len(self.reps))
                 self.reps.append(z)
-                self._rep_tags.append(pos)
+            else:
+                self._rep_of_tag.append(-1)
 
     @property
     def dim(self) -> int:
@@ -109,8 +131,4 @@ class QuotientBasis:
         combo = self._span.express(vec)
         if combo is None:
             return None
-        bits = 0
-        for i, pos in enumerate(self._rep_tags):
-            if combo >> pos & 1:
-                bits |= 1 << i
-        return bits
+        return scatter(combo >> self._first_cycle_tag, self._rep_of_tag)

@@ -29,7 +29,8 @@ from .complexes import (ChainMap, GradedComplex, LaurentChain, cone,
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, NotACycle, NotACycleInPlus, NotInImage,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
-from .gf2 import QuotientBasis, kernel_combos, rank, solve
+from .gf2 import (QuotientBasis, kernel_combos, rank, scatter, set_bits,
+                  solve)
 from .normal_form import Reduction, reduce_complex
 from .scalars import Poly, _pdivmod, _pgcd, _pmul
 
@@ -376,58 +377,60 @@ def _delta_inverse(red: Reduction, chain: LaurentChain) -> LaurentChain:
 
 
 class _Window:
-    """F2 model of the U-exponent window [lo, hi) of the U-inverted complex."""
+    """F2 model of the U-exponent window [lo, hi) of the U-inverted complex.
+
+    Bit j * (hi - lo) + (e - lo) of a mask is U^e times generator j, so
+    each generator owns one block of hi - lo bits.
+    """
 
     def __init__(self, cx: GradedComplex, lo: int, hi: int):
-        self.cx = cx
-        self.basis = [(g, e) for g in cx.generators for e in range(lo, hi)]
-        self.pos = {be: i for i, be in enumerate(self.basis)}
-        self._cols: dict[str, list[tuple[str, Poly]]] = {}
+        self.lo = lo
+        self.width = hi - lo
+        self._gens = cx.generators
+        self._index = cx.index()
+        # column of each source generator: (target block start, entry bits)
+        self._cols: dict[str, list[tuple[int, int]]] = {}
         for (t, s), p in cx.d.items():
-            self._cols.setdefault(s, []).append((t, p))
+            self._cols.setdefault(s, []).append(
+                (self._index[t] * self.width, p.bits))
+        self._blocks: dict[int, list[int]] = {}
+        for j, g in enumerate(self._gens):
+            self._blocks.setdefault(cx.gradings[g], []).append(j * self.width)
         self._homology: dict[int, QuotientBasis] = {}
 
     def mask_of(self, chain: LaurentChain) -> int:
         m = 0
-        for term in chain.terms:
-            p = self.pos.get(term)
-            if p is not None:
-                m |= 1 << p
+        for g, e in chain.terms:
+            j = self._index.get(g)
+            if j is not None and 0 <= e - self.lo < self.width:
+                m |= 1 << (j * self.width + e - self.lo)
         return m
 
     def chain_of(self, mask: int) -> LaurentChain:
-        terms = []
-        while mask:
-            i = mask.bit_length() - 1
-            mask ^= 1 << i
-            terms.append(self.basis[i])
-        return LaurentChain(terms)
+        return LaurentChain((self._gens[i // self.width], self.lo + i % self.width)
+                            for i in set_bits(mask))
 
     def boundary_mask(self, i: int) -> int:
-        g, e = self.basis[i]
+        """Boundary of basis element i, cut to the window: the entry bits
+        shift up by i's place in its block, and those past the block's
+        top fall out."""
+        j, shift = divmod(i, self.width)
+        inside = (1 << self.width) - 1
         m = 0
-        for t, p in self._cols.get(g, ()):
-            for k in p.exponents():
-                p2 = self.pos.get((t, e + k))
-                if p2 is not None:
-                    m ^= 1 << p2
+        for start, bits in self._cols.get(self._gens[j], ()):
+            m ^= ((bits << shift) & inside) << start
         return m
 
     def columns(self, grading: int) -> list[int]:
-        return [i for i, (g, _) in enumerate(self.basis)
-                if self.cx.gradings[g] == grading]
+        """Bit positions of the basis elements in ``grading``."""
+        return [i for start in self._blocks.get(grading, ())
+                for i in range(start, start + self.width)]
 
     def homology(self, grading: int) -> QuotientBasis:
         if grading not in self._homology:
             cols = self.columns(grading)
             bvecs = [self.boundary_mask(i) for i in cols]
-            cycles = []
-            for combo in kernel_combos(bvecs):
-                v = 0
-                for p in range(combo.bit_length()):
-                    if combo >> p & 1:
-                        v |= 1 << cols[p]
-                cycles.append(v)
+            cycles = [scatter(combo, cols) for combo in kernel_combos(bvecs)]
             bnd = [b for b in (self.boundary_mask(i)
                                for i in self.columns(grading + 1)) if b]
             self._homology[grading] = QuotientBasis(cycles, bnd)
@@ -454,9 +457,8 @@ def _exact_at(in_cols: list[int], out_cols: list[int], mid_dim: int) -> dict:
     composite_zero = True
     for c in in_cols:
         acc = 0
-        for i in range(c.bit_length()):
-            if c >> i & 1:
-                acc ^= out_cols[i]
+        for i in set_bits(c):
+            acc ^= out_cols[i]
         if acc:
             composite_zero = False
     return {"image": image, "kernel": kernel,

@@ -15,6 +15,7 @@ replay it.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -265,6 +266,12 @@ def _run_trial_packed(args: tuple) -> TrialFailure | None:
     return _run_trial(*args)
 
 
+def _pool_size(jobs: int, trials: int) -> int:
+    """Worker processes worth starting: no more than the trials to share
+    out or the cores to run them on."""
+    return min(jobs, trials, os.cpu_count() or 1)
+
+
 def verify_proposition(campaign_seed: int, trials: int, max_rank: int,
                        max_exponent: int, jobs: int = 1, *,
                        _mutate_phi_dual: bool = False) -> VerificationReport:
@@ -286,10 +293,11 @@ def verify_proposition(campaign_seed: int, trials: int, max_rank: int,
     start = time.monotonic()
     work = [(campaign_seed, i, max_rank, max_exponent, _mutate_phi_dual)
             for i in range(trials)]
-    if jobs > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial_packed, work,
-                                    chunksize=max(1, trials // (4 * jobs))))
+                                    chunksize=max(1, trials // (4 * workers))))
     else:
         results = [_run_trial(*args) for args in work]
     failures = tuple(r for r in results if r is not None)

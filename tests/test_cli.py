@@ -181,6 +181,15 @@ def test_output_flag_writes_the_payload_to_a_file(workdir, capsys):
     assert target.read_text() == stdout_route
 
 
+def test_unwritable_output_path_exits_three_on_stdout(workdir, capsys):
+    target = workdir / "no-such-dir" / "out.json"
+    code, out = _run(capsys, ["classify", str(workdir / "two3.cx"),
+                              "--output", str(target)])
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "IOError"
+    assert not target.exists()
+
+
 def test_identical_invocations_give_identical_bytes(workdir, capsys):
     argv = ["homology", str(workdir / "two3.cx"), "--flavor", "plus"]
     _, first = _run(capsys, argv)

@@ -5,7 +5,8 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uchain.gf2 import QuotientBasis, Span, kernel_combos, rank, solve
+from uchain.gf2 import (QuotientBasis, Span, kernel_combos, rank, scatter,
+                        set_bits, solve)
 
 vectors = st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
                    min_size=0, max_size=12)
@@ -105,3 +106,68 @@ def test_quotient_coords_are_linear():
     a, b = q.coords(0b011), q.coords(0b101)
     assert a is not None and b is not None
     assert q.coords(0b011 ^ 0b101) == a ^ b
+
+
+# ---------------------------------------------------------------------------
+# references: the loops as first written, walking every bit of the width
+
+
+class _WidthWalkingQuotient:
+    """QuotientBasis whose coords tests every representative's tag."""
+
+    def __init__(self, cycles: list[int], boundaries: list[int]):
+        self._span = Span()
+        for b in boundaries:
+            self._span.add(b)
+        self.reps: list[int] = []
+        self._rep_tags: list[int] = []
+        for z in cycles:
+            pos = self._span.count
+            if self._span.add(z):
+                self.reps.append(z)
+                self._rep_tags.append(pos)
+
+    def coords(self, vec: int) -> int | None:
+        combo = self._span.express(vec)
+        if combo is None:
+            return None
+        bits = 0
+        for i, pos in enumerate(self._rep_tags):
+            if combo >> pos & 1:
+                bits |= 1 << i
+        return bits
+
+
+def _width_walking_scatter(combo: int, cols: list[int]) -> int:
+    """The combination-to-cycle expansion of windowed homology."""
+    v = 0
+    for p in range(combo.bit_length()):
+        if combo >> p & 1:
+            v |= 1 << cols[p]
+    return v
+
+
+@given(cycles=vectors, boundaries=vectors, queries=vectors,
+       masks=st.lists(st.integers(min_value=0, max_value=(1 << 24) - 1),
+                      max_size=8))
+def test_quotient_coords_match_the_width_walking_reference(
+        cycles: list[int], boundaries: list[int], queries: list[int],
+        masks: list[int]):
+    new = QuotientBasis(cycles, boundaries)
+    ref = _WidthWalkingQuotient(cycles, boundaries)
+    assert new.reps == ref.reps
+    pool = boundaries + cycles
+    # sums of the inputs are cycles; 1 << 10 lies outside every input
+    for v in queries + [_combo(pool, m) for m in masks] + [1 << 10]:
+        assert new.coords(v) == ref.coords(v)
+    assert new.coords(1 << 10) is None
+
+
+@given(cols=st.lists(st.integers(min_value=0, max_value=300), unique=True,
+                     max_size=40),
+       data=st.data())
+def test_scatter_matches_the_width_walking_expansion(cols: list[int], data):
+    combo = data.draw(st.integers(min_value=0, max_value=(1 << len(cols)) - 1))
+    assert scatter(combo, cols) == _width_walking_scatter(combo, cols)
+    assert list(set_bits(combo)) == [p for p in range(combo.bit_length())
+                                     if combo >> p & 1]

@@ -30,6 +30,7 @@ from uchain.errors import (
 )
 from uchain.gf2 import QuotientBasis, Span, kernel_combos, rank
 from uchain.homology import (
+    _Window,
     chain_to_json,
     delta,
     delta_inverse,
@@ -448,6 +449,33 @@ def test_exactness_report_on_a_free_generator():
 def test_exactness_on_random_complexes():
     for seed in range(20):
         assert les_exactness_check(_mixed_complex(seed))["exact"] is True
+
+
+def test_window_layout_and_boundaries_match_the_term_by_term_reference():
+    # the window's basis as a list, generator by generator; the boundary of
+    # U^e g is added one differential term at a time, each kept where it
+    # lands inside the window
+    for seed in range(10):
+        cx = _mixed_complex(seed)
+        for lo, hi in [(-7, 0), (0, 5), (-3, 4)]:
+            w = _Window(cx, lo, hi)
+            basis = [(g, e) for g in cx.generators for e in range(lo, hi)]
+            for i, (g, e) in enumerate(basis):
+                assert w.chain_of(1 << i) == LaurentChain.of((g, e))
+                assert w.mask_of(LaurentChain.of((g, e))) == 1 << i
+                ref = 0
+                for (t, s), p in cx.d.items():
+                    if s == g:
+                        for k in p.exponents():
+                            if e + k < hi:
+                                ref ^= 1 << basis.index((t, e + k))
+                assert w.boundary_mask(i) == ref
+            for gr in set(cx.gradings.values()):
+                assert w.columns(gr) == [i for i, (g, _) in enumerate(basis)
+                                         if cx.gradings[g] == gr]
+            outside = LaurentChain.of((cx.generators[0], lo - 1),
+                                      (cx.generators[-1], hi), ("nowhere", lo))
+            assert w.mask_of(outside) == 0
 
 
 def test_exactness_check_refuses_large_ranks():

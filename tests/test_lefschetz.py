@@ -28,10 +28,12 @@ from uchain.errors import (
 )
 from uchain.complexes import _mat_mul
 from uchain.gf2 import rank
+from uchain import lefschetz
 from uchain.lefschetz import (
     TrialFailure,
     VerificationReport,
     _delta_quantity_swapped,
+    _pool_size,
     cotrace_map,
     delta_quantity,
     lefschetz_by_grading,
@@ -226,7 +228,7 @@ def test_both_composition_orders_give_the_same_quantity():
 
 
 def test_oracle_on_two_steps_counts_the_exponent():
-    for n in range(1, 9):
+    for n in [*range(1, 9), 1000, 1001, 3000]:
         cx = _two_step(n)
         assert lefschetz_oracle(cx, identity_map(cx)) == n % 2
 
@@ -364,6 +366,19 @@ def test_campaign_results_do_not_depend_on_worker_count():
     da, db = a.to_json_dict(), b.to_json_dict()
     da.pop("elapsed_ms"), db.pop("elapsed_ms")
     assert da == db
+
+
+def test_pool_size_is_clamped_to_trials_and_cores(monkeypatch):
+    monkeypatch.setattr(lefschetz.os, "cpu_count", lambda: 2)
+    assert _pool_size(1, 100) == 1
+    assert _pool_size(10**6, 100) == 2
+    assert _pool_size(8, 1) == 1
+    assert _pool_size(8, 0) == 0
+    monkeypatch.setattr(lefschetz.os, "cpu_count", lambda: 16)
+    assert _pool_size(4, 3) == 3
+    assert _pool_size(4, 100) == 4
+    monkeypatch.setattr(lefschetz.os, "cpu_count", lambda: None)
+    assert _pool_size(4, 100) == 1
 
 
 def test_empty_campaign_passes():
