@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .complexes import (GradedComplex, LaurentChain, cone, complex_to_text,
                         dual, parse_chain_map, parse_complex)
-from .errors import InfinityNotZero, UChainError
+from .errors import InfinityNotZero, ParseError, UChainError
 from .gf2 import rank
 from .homology import f2_pairing, h_infinity, h_minus, h_plus, h_red, \
     mapping_torus_betti
@@ -34,8 +34,17 @@ _FLAVORS = {
 }
 
 
+def _read(path: str) -> str:
+    """Text of an input file; bytes that do not decode are a parse error."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: cannot decode byte {err.start} "
+                         f"as {err.encoding}") from None
+
+
 def _load_complex(path: str) -> GradedComplex:
-    return parse_complex(Path(path).read_text())
+    return parse_complex(_read(path))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,13 +109,13 @@ def _cmd_homology(args) -> tuple[dict, int]:
 
 def _cmd_delta_quantity(args) -> tuple[dict, int]:
     cx = _load_complex(args.complex)
-    f = parse_chain_map(Path(args.map).read_text(), cx, cx)
+    f = parse_chain_map(_read(args.map), cx, cx)
     return {"value": delta_quantity(cx, f)}, 0
 
 
 def _cmd_lefschetz(args) -> tuple[dict, int]:
     cx = _load_complex(args.complex)
-    f = parse_chain_map(Path(args.map).read_text(), cx, cx)
+    f = parse_chain_map(_read(args.map), cx, cx)
     traces = lefschetz_by_grading(cx, f)
     return {"value": sum(traces.values()) & 1,
             "trace_by_grading": {str(g): t for g, t in sorted(traces.items())}}, 0
@@ -121,13 +130,13 @@ def _cmd_verify(args) -> tuple[dict, int]:
 def _cmd_cone(args) -> tuple[dict, int]:
     src = _load_complex(args.source)
     tgt = _load_complex(args.target)
-    f = parse_chain_map(Path(args.map).read_text(), src, tgt)
+    f = parse_chain_map(_read(args.map), src, tgt)
     return {"complex": complex_to_text(cone(f))}, 0
 
 
 def _cmd_mapping_torus(args) -> tuple[dict, int]:
     cx = _load_complex(args.complex)
-    f = parse_chain_map(Path(args.map).read_text(), cx, cx)
+    f = parse_chain_map(_read(args.map), cx, cx)
     betti = mapping_torus_betti(cx, f)
     return {"betti": {str(g): b for g, b in sorted(betti.items())}}, 0
 

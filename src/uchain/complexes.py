@@ -11,9 +11,15 @@ Conventions, fixed package-wide:
 * Everything is characteristic 2: no signs in duals, tensor products or
   mapping cones.
 
-Complexes and chain maps verify their defining identities (d^2 = 0,
-grading homogeneity, the chain relation) at construction time and are
-treated as immutable afterwards.  Structural equality ignores names.
+Validation happens once, at the trust boundary.  ``build_complex``,
+``build_chain_map`` and the text parsers check that every entry names a
+known generator, that gradings are homogeneous and that d^2 = 0 or the
+chain relation holds.  The constructions below (dual, tensor, cone, sum,
+shift, relabel, the unit complex, and the identity, zero, scalar, tensor,
+composite and sum maps) build from objects that already passed those
+checks and are valid by construction, so they skip them; every path
+still rejects duplicate generator names.  Objects are treated as
+immutable.  Structural equality ignores names.
 
 Derived generators are named deterministically: ``g*`` for the dual of
 ``g``, ``x.y`` for tensor pairs, ``g[1]`` for the shifted copy inside a
@@ -24,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import (Any, Container, Hashable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 from .errors import (ComplexMismatch, DegreeMismatch, DifferentialNotSquareZero,
                      DuplicateGenerator, GradingViolation, NotAChainMap,
@@ -41,23 +48,53 @@ __all__ = [
 
 Entries = dict[tuple[str, str], Poly]
 
+# Sparse entry dicts map (target, source) to a nonzero coefficient.  The
+# helpers below are generic in the coefficient: Poly and LocalScalar both
+# add mod 2 and are falsy exactly when zero.
+
+
+def _accumulate(pairs: Iterable[tuple[Hashable, Any]],
+                out: dict | None = None) -> dict:
+    """Sum (key, value) pairs mod 2 into ``out`` (a new dict by default),
+    dropping the keys whose sum is zero."""
+    if out is None:
+        out = {}
+    for key, v in pairs:
+        acc = out.get(key)
+        acc = v if acc is None else acc + v
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _columns(entries: Mapping[tuple[str, str], Any]) -> dict[str, list]:
+    """Column view of an entry dict: source -> [(target, value)], in entry
+    order."""
+    cols: dict[str, list] = {}
+    for (t, s), p in entries.items():
+        cols.setdefault(s, []).append((t, p))
+    return cols
+
 
 def _mat_mul(a: Mapping[tuple[str, str], Poly],
              b: Mapping[tuple[str, str], Poly]) -> Entries:
     """(a o b)[t, s] = sum_m a[t, m] * b[m, s] on sparse entry dicts."""
-    by_source: dict[str, list[tuple[str, Poly]]] = {}
-    for (t, m), p in a.items():
-        by_source.setdefault(m, []).append((t, p))
-    out: Entries = {}
-    for (m, s), q in b.items():
-        for t, p in by_source.get(m, ()):
-            key = (t, s)
-            acc = out.get(key, P0) + p * q
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+    cols = _columns(a)
+    return _accumulate(((t, s), p * q) for (m, s), q in b.items()
+                       for t, p in cols.get(m, ()))
+
+
+def _apply(entries: Entries, chain: LaurentChain) -> LaurentChain:
+    """A differential or chain map applied to a Laurent chain."""
+    cols = _columns(entries)
+    acc: set[tuple[str, int]] = set()
+    for g, e in chain.terms:
+        for t, p in cols.get(g, ()):
+            for k in p.exponents():
+                acc ^= {(t, e + k)}
+    return LaurentChain(acc)
 
 
 class LaurentChain:
@@ -150,21 +187,40 @@ class GradedComplex:
 
     def boundary_chain(self, chain: LaurentChain) -> LaurentChain:
         """Differential applied to a Laurent chain."""
-        acc: set[tuple[str, int]] = set()
-        cols: dict[str, list[tuple[str, Poly]]] = {}
-        for (t, s), p in self.d.items():
-            cols.setdefault(s, []).append((t, p))
-        for g, e in chain.terms:
-            for t, p in cols.get(g, ()):
-                for k in p.exponents():
-                    acc ^= {(t, e + k)}
-        return LaurentChain(acc)
+        return _apply(self.d, chain)
 
     def is_u_free(self) -> bool:
         return all(p.bits <= 1 for p in self.d.values())
 
     def __repr__(self) -> str:
         return f"GradedComplex({self.name!r}, rank={self.rank})"
+
+
+def _complex(name: str, generators: Sequence[tuple[str, int]],
+             entries: Iterable[tuple[tuple[str, str], Poly]]) -> GradedComplex:
+    """Unchecked constructor for complexes valid by construction: rejects
+    duplicate generator ids and sums ((target, source), poly) entries."""
+    ids = tuple(g for g, _ in generators)
+    seen = set()
+    for g in ids:
+        if g in seen:
+            raise DuplicateGenerator(f"generator {g!r} declared twice")
+        seen.add(g)
+    gradings = {g: int(k) for g, k in generators}
+    return GradedComplex(name, ids, gradings, _accumulate(entries))
+
+
+def _checked_entries(entries: Iterable[tuple[str, str, Poly | str]],
+                     sources: Container[str], targets: Container[str],
+                     ) -> Iterator[tuple[tuple[str, str], Poly]]:
+    """(source, target, polynomial) triples as ((target, source), Poly)
+    entries, rejecting generators outside ``sources`` / ``targets``."""
+    for s, t, p in entries:
+        if s not in sources:
+            raise GradingViolation(f"unknown source generator {s!r}")
+        if t not in targets:
+            raise GradingViolation(f"unknown target generator {t!r}")
+        yield (t, s), Poly.parse(p) if isinstance(p, str) else p
 
 
 def build_complex(name: str,
@@ -175,29 +231,8 @@ def build_complex(name: str,
     ``generators`` is an ordered list of (id, grading); ``entries`` lists
     differential coefficients as (source, target, polynomial) triples.
     """
-    ids = tuple(g for g, _ in generators)
-    seen = set()
-    for g in ids:
-        if g in seen:
-            raise DuplicateGenerator(f"generator {g!r} declared twice")
-        seen.add(g)
-    gradings = {g: int(k) for g, k in generators}
-    d: Entries = {}
-    for s, t, p in entries:
-        if s not in gradings:
-            raise GradingViolation(f"unknown source generator {s!r}")
-        if t not in gradings:
-            raise GradingViolation(f"unknown target generator {t!r}")
-        poly = Poly.parse(p) if isinstance(p, str) else p
-        if not poly:
-            continue
-        key = (t, s)
-        acc = d.get(key, P0) + poly
-        if acc:
-            d[key] = acc
-        else:
-            d.pop(key, None)
-    cx = GradedComplex(name, ids, gradings, d)
+    known = {g for g, _ in generators}
+    cx = _complex(name, generators, _checked_entries(entries, known, known))
     _validate_complex(cx)
     return cx
 
@@ -238,40 +273,26 @@ class ChainMap:
         return self.entries.get((target, source), P0)
 
     def apply_chain(self, chain: LaurentChain) -> LaurentChain:
-        acc: set[tuple[str, int]] = set()
-        cols: dict[str, list[tuple[str, Poly]]] = {}
-        for (t, s), p in self.entries.items():
-            cols.setdefault(s, []).append((t, p))
-        for g, e in chain.terms:
-            for t, p in cols.get(g, ()):
-                for k in p.exponents():
-                    acc ^= {(t, e + k)}
-        return LaurentChain(acc)
+        return _apply(self.entries, chain)
 
     def __repr__(self) -> str:
         return f"ChainMap({self.name!r}, degree={self.degree})"
+
+
+def _chain_map(name: str, source: GradedComplex, target: GradedComplex,
+               degree: int,
+               entries: Iterable[tuple[tuple[str, str], Poly]]) -> ChainMap:
+    """Unchecked constructor for maps valid by construction: sums
+    ((target, source), poly) entries."""
+    return ChainMap(name, source, target, int(degree), _accumulate(entries))
 
 
 def build_chain_map(name: str, source: GradedComplex, target: GradedComplex,
                     degree: int,
                     entries: Iterable[tuple[str, str, Poly | str]] = ()) -> ChainMap:
     """Validated constructor; entries are (source, target, polynomial)."""
-    ent: Entries = {}
-    for s, t, p in entries:
-        if s not in source.gradings:
-            raise GradingViolation(f"unknown source generator {s!r}")
-        if t not in target.gradings:
-            raise GradingViolation(f"unknown target generator {t!r}")
-        poly = Poly.parse(p) if isinstance(p, str) else p
-        if not poly:
-            continue
-        key = (t, s)
-        acc = ent.get(key, P0) + poly
-        if acc:
-            ent[key] = acc
-        else:
-            ent.pop(key, None)
-    fm = ChainMap(name, source, target, int(degree), ent)
+    fm = _chain_map(name, source, target, degree,
+                    _checked_entries(entries, source.gradings, target.gradings))
     _validate_chain_map(fm)
     return fm
 
@@ -285,12 +306,10 @@ def _validate_chain_map(fm: ChainMap) -> None:
                 f"declared degree {fm.degree}")
     # chain relation d_target o f = f o d_source (characteristic 2: no signs
     # even in odd degree)
-    left = _mat_mul(fm.target.d, fm.entries)
-    right = _mat_mul(fm.entries, fm.source.d)
-    if left != right:
-        diff = {k: left.get(k, P0) + right.get(k, P0)
-                for k in set(left) | set(right)}
-        diff = {k: v for k, v in diff.items() if v}
+    diff = _accumulate(itertools.chain(
+        _mat_mul(fm.target.d, fm.entries).items(),
+        _mat_mul(fm.entries, fm.source.d).items()))
+    if diff:
         (t, s) = sorted(diff)[0]
         raise NotAChainMap(
             f"(d f + f d)[{t},{s}] = {diff[(t, s)]} for map {fm.name!r}")
@@ -303,36 +322,33 @@ def _validate_chain_map(fm: ChainMap) -> None:
 def dual(cx: GradedComplex) -> GradedComplex:
     """F2[U]-linear dual: generator g* in grading -gr(g), transposed d."""
     gens = [(g + "*", -cx.gradings[g]) for g in cx.generators]
-    entries = [(t + "*", s + "*", p) for (t, s), p in cx.d.items()]
-    return build_complex(f"dual({cx.name})", gens, entries)
+    return _complex(f"dual({cx.name})", gens,
+                    (((s + "*", t + "*"), p) for (t, s), p in cx.d.items()))
 
 
 def tensor(a: GradedComplex, b: GradedComplex) -> GradedComplex:
     """Tensor product over F2[U]; generator x.y in grading gr(x)+gr(y)."""
     gens = [(f"{x}.{y}", a.gradings[x] + b.gradings[y])
             for x in a.generators for y in b.generators]
-    entries: list[tuple[str, str, Poly]] = []
+    acols, bcols = _columns(a.d), _columns(b.d)
+    entries: list[tuple[tuple[str, str], Poly]] = []
     for x in a.generators:
         for y in b.generators:
             s = f"{x}.{y}"
-            for (t, xs), p in a.d.items():
-                if xs == x:
-                    entries.append((s, f"{t}.{y}", p))
-            for (t, ys), p in b.d.items():
-                if ys == y:
-                    entries.append((s, f"{x}.{t}", p))
-    return build_complex(f"{a.name}(x){b.name}", gens, entries)
+            entries += [((f"{t}.{y}", s), p) for t, p in acols.get(x, ())]
+            entries += [((f"{x}.{t}", s), p) for t, p in bcols.get(y, ())]
+    return _complex(f"{a.name}(x){b.name}", gens, entries)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """f tensor g on the tensor complexes (characteristic 2: no Koszul signs)."""
     src = tensor(f.source, g.source)
     tgt = tensor(f.target, g.target)
-    entries = [(f"{sx}.{sy}", f"{tx}.{ty}", p * q)
+    entries = [((f"{tx}.{ty}", f"{sx}.{sy}"), p * q)
                for (tx, sx), p in f.entries.items()
                for (ty, sy), q in g.entries.items()]
-    return build_chain_map(f"{f.name}(x){g.name}", src, tgt,
-                           f.degree + g.degree, entries)
+    return _chain_map(f"{f.name}(x){g.name}", src, tgt,
+                      f.degree + g.degree, entries)
 
 
 def cone(f: ChainMap) -> GradedComplex:
@@ -343,25 +359,23 @@ def cone(f: ChainMap) -> GradedComplex:
     src, tgt = f.source, f.target
     gens = [(g + "[1]", src.gradings[g] + 1) for g in src.generators]
     gens += [(g, tgt.gradings[g]) for g in tgt.generators]
-    entries: list[tuple[str, str, Poly]] = []
-    entries += [(s + "[1]", t + "[1]", p) for (t, s), p in src.d.items()]
-    entries += [(s, t, p) for (t, s), p in tgt.d.items()]
-    entries += [(s + "[1]", t, p) for (t, s), p in f.entries.items()]
-    return build_complex(f"cone({f.name})", gens, entries)
+    entries = [((t + "[1]", s + "[1]"), p) for (t, s), p in src.d.items()]
+    entries += tgt.d.items()
+    entries += [((t, s + "[1]"), p) for (t, s), p in f.entries.items()]
+    return _complex(f"cone({f.name})", gens, entries)
 
 
 def direct_sum(a: GradedComplex, b: GradedComplex) -> GradedComplex:
     gens = [(g, a.gradings[g]) for g in a.generators]
     gens += [(g, b.gradings[g]) for g in b.generators]
-    entries = [(s, t, p) for (t, s), p in a.d.items()]
-    entries += [(s, t, p) for (t, s), p in b.d.items()]
-    return build_complex(f"{a.name}(+){b.name}", gens, entries)
+    return _complex(f"{a.name}(+){b.name}", gens,
+                    itertools.chain(a.d.items(), b.d.items()))
 
 
 def shift(cx: GradedComplex, k: int) -> GradedComplex:
-    return GradedComplex(f"{cx.name}[{k}]", cx.generators,
-                         {g: d + k for g, d in cx.gradings.items()},
-                         dict(cx.d))
+    return _complex(f"{cx.name}[{k}]",
+                    [(g, cx.gradings[g] + k) for g in cx.generators],
+                    cx.d.items())
 
 
 def relabel(cx: GradedComplex, mapping: Mapping[str, str],
@@ -370,13 +384,13 @@ def relabel(cx: GradedComplex, mapping: Mapping[str, str],
     mapping keep their names)."""
     ren = {g: mapping.get(g, g) for g in cx.generators}
     gens = [(ren[g], cx.gradings[g]) for g in cx.generators]
-    entries = [(ren[s], ren[t], p) for (t, s), p in cx.d.items()]
-    return build_complex(name or cx.name, gens, entries)
+    return _complex(name or cx.name, gens,
+                    (((ren[t], ren[s]), p) for (t, s), p in cx.d.items()))
 
 
 def unit_complex(name: str = "unit") -> GradedComplex:
     """One generator ``1`` in grading 0, zero differential."""
-    return build_complex(name, [("1", 0)])
+    return _complex(name, [("1", 0)], ())
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +398,19 @@ def unit_complex(name: str = "unit") -> GradedComplex:
 
 
 def identity_map(cx: GradedComplex) -> ChainMap:
-    return build_chain_map(f"id({cx.name})", cx, cx, 0,
-                           [(g, g, P1) for g in cx.generators])
+    return _chain_map(f"id({cx.name})", cx, cx, 0,
+                      [((g, g), P1) for g in cx.generators])
 
 
 def zero_map(source: GradedComplex, target: GradedComplex | None = None,
              degree: int = 0) -> ChainMap:
-    return build_chain_map("0", source, target or source, degree, [])
+    return _chain_map("0", source, target or source, degree, ())
 
 
 def scalar_map(cx: GradedComplex, p: Poly) -> ChainMap:
     """Multiplication by the polynomial p, as a degree-0 chain map."""
-    return build_chain_map(f"({p})id", cx, cx, 0,
-                           [(g, g, p) for g in cx.generators])
+    return _chain_map(f"({p})id", cx, cx, 0,
+                      [((g, g), p) for g in cx.generators])
 
 
 def compose(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -404,11 +418,8 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     if g.target != f.source:
         raise ComplexMismatch(
             f"cannot compose {f.name!r} after {g.name!r}: middle complexes differ")
-    entries = _mat_mul(f.entries, g.entries)
-    fm = ChainMap(f"{f.name}o{g.name}", g.source, f.target,
-                  f.degree + g.degree, entries)
-    _validate_chain_map(fm)
-    return fm
+    return ChainMap(f"{f.name}o{g.name}", g.source, f.target,
+                    f.degree + g.degree, _mat_mul(f.entries, g.entries))
 
 
 def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -416,15 +427,8 @@ def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
         raise ComplexMismatch("map sum needs equal sources and targets")
     if f.degree != g.degree:
         raise DegreeMismatch(f"map sum needs equal degrees, got {f.degree} and {g.degree}")
-    keys = set(f.entries) | set(g.entries)
-    entries = {}
-    for k in keys:
-        acc = f.entries.get(k, P0) + g.entries.get(k, P0)
-        if acc:
-            entries[k] = acc
-    fm = ChainMap(f"{f.name}+{g.name}", f.source, f.target, f.degree, entries)
-    _validate_chain_map(fm)
-    return fm
+    return _chain_map(f"{f.name}+{g.name}", f.source, f.target, f.degree,
+                      itertools.chain(f.entries.items(), g.entries.items()))
 
 
 # ---------------------------------------------------------------------------

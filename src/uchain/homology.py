@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .complexes import (ChainMap, GradedComplex, LaurentChain, cone,
-                        identity_map, map_add)
+from .complexes import (ChainMap, GradedComplex, LaurentChain, _columns,
+                        cone, identity_map, map_add)
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, NotACycle, NotACycleInPlus, NotInImage,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
@@ -112,24 +112,36 @@ def _negative_shift(red: Reduction, col: list[int], depth: int) -> LaurentChain:
     return LaurentChain(terms)
 
 
-def _ordered_records(red: Reduction, minus_side: bool) -> list[int]:
-    """2-step indices sorted by output (grading, exponent); the b-generator
-    carries the torsion on the minus side, the a-generator on the plus."""
-    def key(k: int):
-        r = red.two_steps[k]
-        g = r.grading_a - 1 if minus_side else r.grading_a
-        return (g, r.exponent, k)
-    return sorted(range(len(red.two_steps)), key=key)
+def _ordered_torsion(red: Reduction, minus_side: bool,
+                     ) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """2-step indices sorted by output (grading, exponent), and those
+    (grading, exponent) pairs; the b-generator carries the torsion on the
+    minus side, the a-generator on the plus."""
+    shift = 1 if minus_side else 0
+    keyed = sorted((r.grading_a - shift, r.exponent, k)
+                   for k, r in enumerate(red.two_steps))
+    return [k for _, _, k in keyed], tuple((g, n) for g, n, _ in keyed)
 
 
-def _plus_basis(red: Reduction, order: list[int]) -> list[LaurentChain]:
-    q, _ = red.series_transform()
+def _finite_part(red: Reduction, minus_side: bool,
+                 ) -> tuple[tuple[tuple[int, int], ...], tuple[LaurentChain, ...]]:
+    """Torsion summands and F2 basis of the finite part of one side: U^j
+    times the cleared b-column for 0 <= j < n on the minus side, U^-i
+    times the a-column for 1 <= i <= n on the plus side."""
+    order, torsion = _ordered_torsion(red, minus_side)
     basis: list[LaurentChain] = []
-    for k in order:
-        r = red.two_steps[k]
-        for depth in range(1, r.exponent + 1):
-            basis.append(_negative_shift(red, q[r.a], depth))
-    return basis
+    if minus_side:
+        for k in order:
+            r = red.two_steps[k]
+            rep = _cleared_column(red, r.b)
+            basis += [rep.times_u(j) for j in range(r.exponent)]
+    else:
+        q, _ = red.series_transform()
+        for k in order:
+            r = red.two_steps[k]
+            basis += [_negative_shift(red, q[r.a], depth)
+                      for depth in range(1, r.exponent + 1)]
+    return torsion, tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +156,13 @@ def h_minus(cx: GradedComplex) -> HomologyPresentation:
 
 def _h_minus(red: Reduction) -> HomologyPresentation:
     free = dict(Counter(g for _, g in red.one_steps))
-    order = _ordered_records(red, minus_side=True)
-    torsion = tuple((red.two_steps[k].grading_a - 1, red.two_steps[k].exponent)
-                    for k in order)
     if red.one_steps:
+        order, torsion = _ordered_torsion(red, minus_side=True)
         basis = tuple(_cleared_column(red, i) for i, _ in red.one_steps)
         basis += tuple(_cleared_column(red, red.two_steps[k].b) for k in order)
         return HomologyPresentation("minus", free, torsion, None, basis)
-    basis = []
-    for k in order:
-        r = red.two_steps[k]
-        rep = _cleared_column(red, r.b)
-        basis += [rep.times_u(j) for j in range(r.exponent)]
-    dim = sum(n for _, n in torsion)
-    return HomologyPresentation("minus", free, torsion, dim, tuple(basis))
+    torsion, basis = _finite_part(red, minus_side=True)
+    return HomologyPresentation("minus", free, torsion, len(basis), basis)
 
 
 def h_infinity(cx: GradedComplex) -> HomologyPresentation:
@@ -188,10 +193,7 @@ def _h_plus(red: Reduction) -> HomologyPresentation:
     if red.one_steps:
         free = dict(Counter(g for _, g in red.one_steps))
         return HomologyPresentation("plus", free, (), None, ())
-    order = _ordered_records(red, minus_side=False)
-    torsion = tuple((red.two_steps[k].grading_a, red.two_steps[k].exponent)
-                    for k in order)
-    basis = tuple(_plus_basis(red, order))
+    torsion, basis = _finite_part(red, minus_side=False)
     return HomologyPresentation("plus", {}, torsion, len(basis), basis)
 
 
@@ -201,22 +203,8 @@ def h_red(cx: GradedComplex, side: str) -> HomologyPresentation:
     sides have equal dimension (the connecting map matches them up)."""
     if side not in ("minus", "plus"):
         raise ParameterOutOfRange(f"side must be 'minus' or 'plus', got {side!r}")
-    red = reduce_complex(cx)
-    order = _ordered_records(red, minus_side=side == "minus")
-    dim = sum(r.exponent for r in red.two_steps)
-    if side == "minus":
-        torsion = tuple((red.two_steps[k].grading_a - 1, red.two_steps[k].exponent)
-                        for k in order)
-        basis: list[LaurentChain] = []
-        for k in order:
-            r = red.two_steps[k]
-            rep = _cleared_column(red, r.b)
-            basis += [rep.times_u(j) for j in range(r.exponent)]
-        return HomologyPresentation("red_minus", {}, torsion, dim, tuple(basis))
-    torsion = tuple((red.two_steps[k].grading_a, red.two_steps[k].exponent)
-                    for k in order)
-    return HomologyPresentation("red_plus", {}, torsion, dim,
-                                tuple(_plus_basis(red, order)))
+    torsion, basis = _finite_part(reduce_complex(cx), side == "minus")
+    return HomologyPresentation(f"red_{side}", {}, torsion, len(basis), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +377,12 @@ class _Window:
         self._gens = cx.generators
         self._index = cx.index()
         # column of each source generator: (target block start, entry bits)
-        self._cols: dict[str, list[tuple[int, int]]] = {}
-        for (t, s), p in cx.d.items():
-            self._cols.setdefault(s, []).append(
-                (self._index[t] * self.width, p.bits))
+        self._cols = {s: [(self._index[t] * self.width, p.bits) for t, p in col]
+                      for s, col in _columns(cx.d).items()}
         self._blocks: dict[int, list[int]] = {}
         for j, g in enumerate(self._gens):
             self._blocks.setdefault(cx.gradings[g], []).append(j * self.width)
+        self._masks: dict[int, list[int]] = {}
         self._homology: dict[int, QuotientBasis] = {}
 
     def mask_of(self, chain: LaurentChain) -> int:
@@ -426,13 +413,21 @@ class _Window:
         return [i for start in self._blocks.get(grading, ())
                 for i in range(start, start + self.width)]
 
+    def _boundary_masks(self, grading: int) -> list[int]:
+        """Boundary masks of ``columns(grading)``, in that order; built once,
+        as kernel input of this grading and boundary span of the next one
+        down."""
+        if grading not in self._masks:
+            self._masks[grading] = [self.boundary_mask(i)
+                                    for i in self.columns(grading)]
+        return self._masks[grading]
+
     def homology(self, grading: int) -> QuotientBasis:
         if grading not in self._homology:
             cols = self.columns(grading)
-            bvecs = [self.boundary_mask(i) for i in cols]
-            cycles = [scatter(combo, cols) for combo in kernel_combos(bvecs)]
-            bnd = [b for b in (self.boundary_mask(i)
-                               for i in self.columns(grading + 1)) if b]
+            cycles = [scatter(combo, cols)
+                      for combo in kernel_combos(self._boundary_masks(grading))]
+            bnd = [b for b in self._boundary_masks(grading + 1) if b]
             self._homology[grading] = QuotientBasis(cycles, bnd)
         return self._homology[grading]
 

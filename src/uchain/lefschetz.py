@@ -21,9 +21,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .complexes import (ChainMap, GradedComplex, LaurentChain,
-                        build_chain_map, complex_to_text, dual, identity_map,
-                        map_to_text, tensor, tensor_map, unit_complex)
+from .complexes import (ChainMap, GradedComplex, LaurentChain, _chain_map,
+                        complex_to_text, dual, identity_map, map_to_text,
+                        tensor, tensor_map, unit_complex)
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, ParameterOutOfRange)
 from .gf2 import Span
@@ -44,34 +44,34 @@ def phi(cx: GradedComplex) -> ChainMap:
 
     Grading drops by 1 like the differential; the chain relation
     (anticommuting with d, which in characteristic 2 reads
-    phi d + d phi = 0) follows from differentiating d^2 = 0 and is
-    re-verified by the constructor.
+    phi d + d phi = 0) follows from differentiating d^2 = 0, so it holds
+    by construction and is not checked again.
     """
-    entries = [(s, t, p.derivative()) for (t, s), p in cx.d.items()]
-    return build_chain_map(f"phi({cx.name})", cx, cx, -1, entries)
+    entries = [(k, p.derivative()) for k, p in cx.d.items()]
+    return _chain_map(f"phi({cx.name})", cx, cx, -1, entries)
 
 
 def phi_dual(cx: GradedComplex) -> ChainMap:
     """Transpose of phi on the dual complex; entrywise equal to
     phi(dual(cx))."""
     dcx = dual(cx)
-    entries = [(t + "*", s + "*", p.derivative()) for (t, s), p in cx.d.items()]
-    return build_chain_map(f"phi_dual({cx.name})", dcx, dcx, -1, entries)
+    entries = [((s + "*", t + "*"), p.derivative()) for (t, s), p in cx.d.items()]
+    return _chain_map(f"phi_dual({cx.name})", dcx, dcx, -1, entries)
 
 
 def trace_map(cx: GradedComplex) -> ChainMap:
     """Evaluation map from tensor(C, dual(C)) to the one-generator complex:
     g tensor g-dual goes to 1, mixed pairs to 0."""
     src = tensor(cx, dual(cx))
-    entries = [(f"{g}.{g}*", "1", P1) for g in cx.generators]
-    return build_chain_map(f"tr({cx.name})", src, unit_complex(), 0, entries)
+    entries = [(("1", f"{g}.{g}*"), P1) for g in cx.generators]
+    return _chain_map(f"tr({cx.name})", src, unit_complex(), 0, entries)
 
 
 def cotrace_map(cx: GradedComplex) -> ChainMap:
     """The other direction: 1 goes to the sum of g tensor g-dual."""
     tgt = tensor(cx, dual(cx))
-    entries = [("1", f"{g}.{g}*", P1) for g in cx.generators]
-    return build_chain_map(f"cotr({cx.name})", unit_complex(), tgt, 0, entries)
+    entries = [((f"{g}.{g}*", "1"), P1) for g in cx.generators]
+    return _chain_map(f"cotr({cx.name})", unit_complex(), tgt, 0, entries)
 
 
 def _check_endomorphism(cx: GradedComplex, f: ChainMap) -> None:

@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import (ChainMap, GradedComplex, build_chain_map,
-                        build_complex, identity_map, _mat_mul)
+from .complexes import (ChainMap, GradedComplex, _accumulate, _mat_mul,
+                        build_chain_map, build_complex, identity_map)
 from .errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
 from .scalars import (LS0, LS1, P0, P1, LocalScalar, Poly, _pdivmod, _pgcd,
                       _pmul)
@@ -299,20 +299,10 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
             gi, gj = gens[i], gens[j]
             # g_i <- g_i + p g_j: column i of d gains p * column j,
             # row j gains p * row i
-            for (t, s2), val in list(d.items()):
-                if s2 == gj:
-                    acc = d.get((t, gi), P0) + p * val
-                    if acc:
-                        d[(t, gi)] = acc
-                    else:
-                        d.pop((t, gi), None)
-            for (t2, s2), val in list(d.items()):
-                if t2 == gi:
-                    acc = d.get((gj, s2), P0) + p * val
-                    if acc:
-                        d[(gj, s2)] = acc
-                    else:
-                        d.pop((gj, s2), None)
+            _accumulate([((t, gi), p * v) for (t, s), v in d.items()
+                         if s == gj], d)
+            _accumulate([((gj, s), p * v) for (t, s), v in d.items()
+                         if t == gi], d)
             for r in range(n):
                 q[r][i] = q[r][i] + p * q[r][j]
             for c2 in range(n):
@@ -350,16 +340,7 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
     gens = cx.generators
 
     # S written on the final (reduced) generator coordinates
-    s_nf: dict[tuple[int, int], LocalScalar] = {}
-
-    def add_nf(t: int, s: int, c: LocalScalar) -> None:
-        if not c.is_zero():
-            acc = s_nf.get((t, s), LS0) + c
-            if acc.is_zero():
-                s_nf.pop((t, s), None)
-            else:
-                s_nf[(t, s)] = acc
-
+    s_nf: list[tuple[tuple[int, int], LocalScalar]] = []
     for src in red.two_steps:
         for tgt in red.two_steps:
             if src.grading_a != tgt.grading_a or rng.random() < 0.5:
@@ -372,45 +353,31 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
             # chain map between 2-steps of exponents n and m
             ca = LocalScalar(Poly.u(max(nexp - mexp, 0)) * p)
             cb = LocalScalar(Poly.u(max(mexp - nexp, 0)) * p)
-            add_nf(tgt.a, src.a, ca)
-            add_nf(tgt.b, src.b, cb * tgt.unit / src.unit)
+            s_nf.append(((tgt.a, src.a), ca))
+            s_nf.append(((tgt.b, src.b), cb * tgt.unit / src.unit))
     for si, sg in red.one_steps:
         for ti, tg in red.one_steps:
             if sg != tg or rng.random() < 0.5:
                 continue
             p = Poly(rng.getrandbits(3))
             if p:
-                add_nf(ti, si, LocalScalar(p))
+                s_nf.append(((ti, si), LocalScalar(p)))
 
     q, qi = red.exact_transform()
-    s_orig: dict[tuple[int, int], LocalScalar] = {}
-    for (t, s), c in s_nf.items():
+    terms: list[tuple[tuple[int, int], LocalScalar]] = []
+    for (t, s), c in _accumulate(s_nf).items():
         for i in range(n):
-            if q[i][t].is_zero():
-                continue
-            left = q[i][t] * c
-            for j in range(n):
-                if qi[s][j].is_zero():
-                    continue
-                acc = s_orig.get((i, j), LS0) + left * qi[s][j]
-                if acc.is_zero():
-                    s_orig.pop((i, j), None)
-                else:
-                    s_orig[(i, j)] = acc
+            if q[i][t]:
+                left = q[i][t] * c
+                terms += [((i, j), left * qi[s][j]) for j in range(n) if qi[s][j]]
+    s_orig = _accumulate(terms)
 
     den = 1
     for c in s_orig.values():
         den = _pmul(den, _pdivmod(c.den, _pgcd(den, c.den))[0])
 
-    entries: dict[tuple[str, str], Poly] = {}
-    for (i, j), c in s_orig.items():
-        scaled = Poly(_pmul(c.num, _pdivmod(den, c.den)[0]))
-        key = (gens[i], gens[j])
-        acc = entries.get(key, P0) + scaled
-        if acc:
-            entries[key] = acc
-        else:
-            entries.pop(key, None)
+    scaled = [((gens[i], gens[j]), Poly(_pmul(c.num, _pdivmod(den, c.den)[0])))
+              for (i, j), c in s_orig.items()]
 
     h: dict[tuple[str, str], Poly] = {}
     for u in gens:
@@ -420,14 +387,8 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
             p = Poly(rng.getrandbits(3))
             if p:
                 h[(v, u)] = p
-    for part in (_mat_mul(cx.d, h), _mat_mul(h, cx.d)):
-        for key, p in part.items():
-            acc = entries.get(key, P0) + p
-            if acc:
-                entries[key] = acc
-            else:
-                entries.pop(key, None)
-
+    entries = _accumulate(itertools.chain(
+        scaled, _mat_mul(cx.d, h).items(), _mat_mul(h, cx.d).items()))
     return build_chain_map(f"rand{seed}", cx, cx, 0,
                            [(s, t, p) for (t, s), p in entries.items()])
 

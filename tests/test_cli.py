@@ -261,6 +261,27 @@ def test_missing_files_exit_three(workdir, capsys):
     assert json.loads(out)["error"]["kind"] == "IOError"
 
 
+def test_undecodable_complex_file_exits_three(workdir, capsys):
+    bad = workdir / "bom.cx"
+    bad.write_bytes(b"\xff\xfe" + TWO_STEP_3.encode())
+    code, out = _run(capsys, ["classify", str(bad)])
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
+def test_undecodable_map_file_exits_three(workdir, capsys):
+    bad_map = workdir / "bom.map"
+    bad_map.write_bytes(b"\xff\xfe" + ID_MAP.encode())
+    for verb in ("delta-quantity", "lefschetz", "mapping-torus"):
+        code, out = _run(capsys, [verb, str(workdir / "two3.cx"), str(bad_map)])
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "ParseError"
+    code, out = _run(capsys, ["cone", str(workdir / "two3.cx"),
+                              str(workdir / "two3.cx"), str(bad_map)])
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
 def test_map_with_wrong_declared_source_exits_two(workdir, capsys):
     bad_map = workdir / "wrong.map"
     bad_map.write_text(ID_MAP.replace("source two", "source other"))

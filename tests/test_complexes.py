@@ -348,6 +348,44 @@ def test_tensor_map_acts_factorwise():
     assert t.entry("a.b*", "a.b*") == Poly.u(1)
 
 
+def test_derived_constructions_pass_the_checks_they_skip():
+    # Derived objects are built without the checks build_complex and
+    # build_chain_map run; every one of them must still pass those checks.
+    from uchain.complexes import _validate_chain_map, _validate_complex
+    from uchain.lefschetz import cotrace_map, phi, phi_dual, trace_map
+
+    for seed in range(12):
+        rng = random.Random(seed)
+        nf = random_normal_form(rng, max_rank=6, max_exponent=4,
+                                one_steps=seed % 2 == 0)
+        cx = random_basis_change(realize(nf, name=f"c{seed}"), seed=seed + 1,
+                                 steps=rng.randint(0, 15))
+        other = _random_complex(seed + 200, 4)
+        f = random_chain_map(cx, seed=seed + 300)
+        g = random_chain_map(cx, seed=seed + 400)
+        h = random_chain_map(other, seed=seed + 500)
+        dcx = dual(cx)
+        renamed = relabel(other, {x: x + "'" for x in other.generators})
+        complexes = [dcx, tensor(cx, dcx), tensor(cx, other), cone(f),
+                     direct_sum(cx, renamed), shift(cx, 3), renamed,
+                     unit_complex()]
+        maps = [identity_map(cx), zero_map(cx, dcx, 1), scalar_map(cx, Poly.u(2)),
+                tensor_map(f, h), tensor_map(f, identity_map(dcx)),
+                compose(f, g), map_add(f, g), phi(cx), phi_dual(cx),
+                trace_map(cx), cotrace_map(cx)]
+        for c in complexes + [m.source for m in maps] + [m.target for m in maps]:
+            _validate_complex(c)
+        for m in maps:
+            _validate_chain_map(m)
+
+    # derived constructions still reject colliding generator names
+    a = _two_step(2)
+    with pytest.raises(DuplicateGenerator):
+        direct_sum(a, a)
+    with pytest.raises(DuplicateGenerator):
+        relabel(a, {"a": "b"})
+
+
 def test_boundary_chain_tracks_laurent_exponents():
     cx = _two_step(3)
     out = cx.boundary_chain(LaurentChain.of(("a", -2)))

@@ -295,6 +295,16 @@ def test_red_sides_have_equal_dimension_even_with_free_summands():
                 == h_red(cx, "plus").f2_dimension)
 
 
+def test_red_homology_matches_the_full_flavors_on_torsion_complexes():
+    for seed in range(15):
+        cx = _torsion_complex(seed)
+        for side, full in (("minus", h_minus(cx)), ("plus", h_plus(cx))):
+            red = h_red(cx, side)
+            assert red.torsion == full.torsion
+            assert red.basis == full.basis
+            assert red.f2_dimension == full.f2_dimension
+
+
 def test_json_layout_of_presentations():
     d = h_minus(_two_step(2)).to_json_dict()
     assert d == {
