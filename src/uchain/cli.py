@@ -15,8 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .complexes import (GradedComplex, LaurentChain, cone, complex_to_text,
-                        dual, parse_chain_map, parse_complex)
+from .complexes import (GradedComplex, LaurentChain, _positional, cone,
+                        complex_to_text, dual, parse_chain_map, parse_complex)
 from .errors import InfinityNotZero, ParseError, UChainError
 from .gf2 import rank
 from .homology import f2_pairing, h_infinity, h_minus, h_plus, h_red, \
@@ -159,8 +159,9 @@ def _cmd_pairing_check(args) -> tuple[dict, int]:
     matrix_rank = rank(rows)
     dim = plus.f2_dimension
     invertible = matrix_rank == dim == red_minus.f2_dimension
-    traced = trace_map(cx).apply_chain(
-        cotrace_map(cx).apply_chain(LaurentChain.of(("1", 0))))
+    pcx = _positional(cx)[0]
+    traced = trace_map(pcx).apply_chain(
+        cotrace_map(pcx).apply_chain(LaurentChain.of(("1", 0))))
     trace_ok = traced.coefficient("1", 0) == cx.rank % 2 and \
         len(traced.terms) <= 1
     payload = {"dimension": dim, "matrix_rank": matrix_rank,

@@ -23,13 +23,17 @@ immutable.  Structural equality ignores names.
 
 Derived generators are named deterministically: ``g*`` for the dual of
 ``g``, ``x.y`` for tensor pairs, ``g[1]`` for the shifted copy inside a
-mapping cone.
+mapping cone, spelled here only (``_dual_id``, ``_pair_id``, ``_shift_id``).
+Joined names can collide (``a`` with ``b.c*`` and ``a.b`` with ``c*`` both
+give ``a.b.c*``), so code that wants only numbers from a derived complex
+first renames its input to positional ids with ``_positional``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (Any, Container, Hashable, Iterable, Iterator, Mapping,
                     Sequence)
 
@@ -86,9 +90,8 @@ def _mat_mul(a: Mapping[tuple[str, str], Poly],
                        for t, p in cols.get(m, ()))
 
 
-def _apply(entries: Entries, chain: LaurentChain) -> LaurentChain:
-    """A differential or chain map applied to a Laurent chain."""
-    cols = _columns(entries)
+def _apply(cols: Mapping[str, list], chain: LaurentChain) -> LaurentChain:
+    """A differential or chain map, as its column view, applied to a chain."""
     acc: set[tuple[str, int]] = set()
     for g, e in chain.terms:
         for t, p in cols.get(g, ()):
@@ -185,9 +188,14 @@ class GradedComplex:
     def boundary_of(self, source: str) -> dict[str, Poly]:
         return {t: p for (t, s), p in self.d.items() if s == source}
 
+    @cached_property
+    def _cols(self) -> dict[str, list]:
+        """Column view of ``d``, built once (no reference back to self)."""
+        return _columns(self.d)
+
     def boundary_chain(self, chain: LaurentChain) -> LaurentChain:
         """Differential applied to a Laurent chain."""
-        return _apply(self.d, chain)
+        return _apply(self._cols, chain)
 
     def is_u_free(self) -> bool:
         return all(p.bits <= 1 for p in self.d.values())
@@ -272,8 +280,13 @@ class ChainMap:
     def entry(self, target: str, source: str) -> Poly:
         return self.entries.get((target, source), P0)
 
+    @cached_property
+    def _cols(self) -> dict[str, list]:
+        """Column view of ``entries``, built once."""
+        return _columns(self.entries)
+
     def apply_chain(self, chain: LaurentChain) -> LaurentChain:
-        return _apply(self.entries, chain)
+        return _apply(self._cols, chain)
 
     def __repr__(self) -> str:
         return f"ChainMap({self.name!r}, degree={self.degree})"
@@ -319,24 +332,49 @@ def _validate_chain_map(fm: ChainMap) -> None:
 # constructions
 
 
+def _dual_id(g: str) -> str:
+    return g + "*"
+
+
+def _pair_id(x: str, y: str) -> str:
+    return f"{x}.{y}"
+
+
+def _shift_id(g: str) -> str:
+    return g + "[1]"
+
+
+def _positional(cx: GradedComplex, *maps: ChainMap) -> tuple[Any, ...]:
+    """``cx`` with generator k renamed ``"k"``, then each endomorphism of
+    ``cx`` or of ``dual(cx)`` moved along by position onto the renamed
+    complex or its dual.  Ids derived from digit strings cannot collide."""
+    pcx = relabel(cx, {g: str(k) for k, g in enumerate(cx.generators)})
+    out: list[Any] = [pcx]
+    for fm in maps:
+        c = pcx if fm.source == cx else dual(pcx)
+        ren = dict(zip(fm.source.generators, c.generators))
+        out.append(_chain_map(fm.name, c, c, fm.degree,
+                              (((ren[t], ren[s]), p)
+                               for (t, s), p in fm.entries.items())))
+    return tuple(out)
+
+
 def dual(cx: GradedComplex) -> GradedComplex:
     """F2[U]-linear dual: generator g* in grading -gr(g), transposed d."""
-    gens = [(g + "*", -cx.gradings[g]) for g in cx.generators]
+    gens = [(_dual_id(g), -cx.gradings[g]) for g in cx.generators]
     return _complex(f"dual({cx.name})", gens,
-                    (((s + "*", t + "*"), p) for (t, s), p in cx.d.items()))
+                    (((_dual_id(s), _dual_id(t)), p)
+                     for (t, s), p in cx.d.items()))
 
 
 def tensor(a: GradedComplex, b: GradedComplex) -> GradedComplex:
     """Tensor product over F2[U]; generator x.y in grading gr(x)+gr(y)."""
-    gens = [(f"{x}.{y}", a.gradings[x] + b.gradings[y])
-            for x in a.generators for y in b.generators]
-    acols, bcols = _columns(a.d), _columns(b.d)
+    ids = {(x, y): _pair_id(x, y) for x in a.generators for y in b.generators}
+    gens = [(s, a.gradings[x] + b.gradings[y]) for (x, y), s in ids.items()]
     entries: list[tuple[tuple[str, str], Poly]] = []
-    for x in a.generators:
-        for y in b.generators:
-            s = f"{x}.{y}"
-            entries += [((f"{t}.{y}", s), p) for t, p in acols.get(x, ())]
-            entries += [((f"{x}.{t}", s), p) for t, p in bcols.get(y, ())]
+    for (x, y), s in ids.items():
+        entries += [((ids[t, y], s), p) for t, p in a._cols.get(x, ())]
+        entries += [((ids[x, t], s), p) for t, p in b._cols.get(y, ())]
     return _complex(f"{a.name}(x){b.name}", gens, entries)
 
 
@@ -344,7 +382,7 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """f tensor g on the tensor complexes (characteristic 2: no Koszul signs)."""
     src = tensor(f.source, g.source)
     tgt = tensor(f.target, g.target)
-    entries = [((f"{tx}.{ty}", f"{sx}.{sy}"), p * q)
+    entries = [((_pair_id(tx, ty), _pair_id(sx, sy)), p * q)
                for (tx, sx), p in f.entries.items()
                for (ty, sy), q in g.entries.items()]
     return _chain_map(f"{f.name}(x){g.name}", src, tgt,
@@ -357,11 +395,11 @@ def cone(f: ChainMap) -> GradedComplex:
     if f.degree != 0:
         raise DegreeMismatch(f"cone needs a degree-0 map, got {f.degree}")
     src, tgt = f.source, f.target
-    gens = [(g + "[1]", src.gradings[g] + 1) for g in src.generators]
+    gens = [(_shift_id(g), src.gradings[g] + 1) for g in src.generators]
     gens += [(g, tgt.gradings[g]) for g in tgt.generators]
-    entries = [((t + "[1]", s + "[1]"), p) for (t, s), p in src.d.items()]
+    entries = [((_shift_id(t), _shift_id(s)), p) for (t, s), p in src.d.items()]
     entries += tgt.d.items()
-    entries += [((t, s + "[1]"), p) for (t, s), p in f.entries.items()]
+    entries += [((t, _shift_id(s)), p) for (t, s), p in f.entries.items()]
     return _complex(f"cone({f.name})", gens, entries)
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .complexes import (ChainMap, GradedComplex, LaurentChain, _columns,
-                        cone, identity_map, map_add)
+from .complexes import (ChainMap, GradedComplex, LaurentChain, _dual_id,
+                        _positional, cone, identity_map, map_add)
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, NotACycle, NotACycleInPlus, NotInImage,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
@@ -236,33 +236,6 @@ def _torsion_coords(red: Reduction, chain: LaurentChain) -> int:
     return out
 
 
-def _plus_coords(red: Reduction, chain: LaurentChain) -> int:
-    """Flat coordinates of a chain's class in the plus flavor (only the
-    strictly negative part matters)."""
-    neg = chain.negative_part()
-    if not neg:
-        return 0
-    cx = red.complex
-    idx = cx.index()
-    shift = -neg.min_exponent()
-    y = [0] * cx.rank
-    for g, e in neg.terms:
-        y[idx[g]] |= 1 << (e + shift)
-    _, qi = red.series_transform(order=shift)
-    out = 0
-    for k, r in enumerate(red.two_steps):
-        row = qi[r.a]
-        acc = 0
-        for j, yj in enumerate(y):
-            if yj and row[j]:
-                acc ^= _pmul(row[j], yj)
-        for depth in range(1, r.exponent + 1):
-            pos = shift - depth
-            if pos >= 0 and acc >> pos & 1:
-                out |= 1 << (red.offsets[k] + depth - 1)
-    return out
-
-
 def _plus_rep(red: Reduction, bits: int) -> LaurentChain:
     """Canonical purely-negative representative with given plus coordinates."""
     q, _ = red.series_transform()
@@ -282,20 +255,6 @@ def _delta_block_columns(red: Reduction, k: int) -> list[int]:
     n = r.exponent
     u = r.unit.series(n)
     return [(u << (n - i)) & ((1 << n) - 1) for i in range(1, n + 1)]
-
-
-def _delta_flat(red: Reduction, plus_bits: int) -> int:
-    """Closed-form connecting map on flat coordinates, block by block."""
-    out = 0
-    for k, r in enumerate(red.two_steps):
-        cols = _delta_block_columns(red, k)
-        block = plus_bits >> red.offsets[k] & ((1 << r.exponent) - 1)
-        acc = 0
-        for i in range(r.exponent):
-            if block >> i & 1:
-                acc ^= cols[i]
-        out |= acc << red.offsets[k]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +337,7 @@ class _Window:
         self._index = cx.index()
         # column of each source generator: (target block start, entry bits)
         self._cols = {s: [(self._index[t] * self.width, p.bits) for t, p in col]
-                      for s, col in _columns(cx.d).items()}
+                      for s, col in cx._cols.items()}
         self._blocks: dict[int, list[int]] = {}
         for j, g in enumerate(self._gens):
             self._blocks.setdefault(cx.gradings[g], []).append(j * self.width)
@@ -533,7 +492,8 @@ def mapping_torus_betti(cy: GradedComplex, phi: ChainMap) -> dict[int, int]:
         raise DegreeMismatch(f"mapping torus needs a degree-0 map, got {phi.degree}")
     if phi.source != cy or phi.target != cy:
         raise ComplexMismatch("mapping torus needs an endomorphism of the complex")
-    torus = cone(map_add(identity_map(cy), phi))
+    pcy, pphi = _positional(cy, phi)
+    torus = cone(map_add(identity_map(pcy), pphi))
     idx = torus.index()
     bcol: dict[str, int] = {}
     for (t, s), _ in torus.d.items():
@@ -559,6 +519,6 @@ def f2_pairing(x: LaurentChain, y: LaurentChain) -> int:
     acc = 0
     for g, i in x.terms:
         for h, j in y.terms:
-            if i + j == -1 and h == g + "*":
+            if i + j == -1 and h == _dual_id(g):
                 acc ^= 1
     return acc

@@ -19,11 +19,12 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexes import (ChainMap, GradedComplex, LaurentChain, _chain_map,
-                        complex_to_text, dual, identity_map, map_to_text,
-                        tensor, tensor_map, unit_complex)
+                        _dual_id, _pair_id, _positional, complex_to_text,
+                        dual, identity_map, map_to_text, tensor, tensor_map,
+                        unit_complex)
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, ParameterOutOfRange)
 from .gf2 import Span
@@ -52,25 +53,22 @@ def phi(cx: GradedComplex) -> ChainMap:
 
 
 def phi_dual(cx: GradedComplex) -> ChainMap:
-    """Transpose of phi on the dual complex; entrywise equal to
-    phi(dual(cx))."""
-    dcx = dual(cx)
-    entries = [((s + "*", t + "*"), p.derivative()) for (t, s), p in cx.d.items()]
-    return _chain_map(f"phi_dual({cx.name})", dcx, dcx, -1, entries)
+    """Transpose of phi on the dual complex, i.e. phi(dual(cx)) renamed."""
+    return replace(phi(dual(cx)), name=f"phi_dual({cx.name})")
 
 
 def trace_map(cx: GradedComplex) -> ChainMap:
     """Evaluation map from tensor(C, dual(C)) to the one-generator complex:
     g tensor g-dual goes to 1, mixed pairs to 0."""
     src = tensor(cx, dual(cx))
-    entries = [(("1", f"{g}.{g}*"), P1) for g in cx.generators]
+    entries = [(("1", _pair_id(g, _dual_id(g))), P1) for g in cx.generators]
     return _chain_map(f"tr({cx.name})", src, unit_complex(), 0, entries)
 
 
 def cotrace_map(cx: GradedComplex) -> ChainMap:
     """The other direction: 1 goes to the sum of g tensor g-dual."""
     tgt = tensor(cx, dual(cx))
-    entries = [((f"{g}.{g}*", "1"), P1) for g in cx.generators]
+    entries = [((_pair_id(g, _dual_id(g)), "1"), P1) for g in cx.generators]
     return _chain_map(f"cotr({cx.name})", unit_complex(), tgt, 0, entries)
 
 
@@ -79,6 +77,21 @@ def _check_endomorphism(cx: GradedComplex, f: ChainMap) -> None:
         raise DegreeMismatch(f"need a degree-0 map, got degree {f.degree}")
     if f.source != cx or f.target != cx:
         raise ComplexMismatch(f"map {f.name!r} is not an endomorphism of the complex")
+
+
+def _pairing_setup(cx: GradedComplex, f: ChainMap, pd: ChainMap | None,
+                   ) -> tuple[GradedComplex, GradedComplex, LaurentChain,
+                              ChainMap, ChainMap]:
+    """Shared start of both orders, on positional ids: the renamed complex,
+    C tensor dual(C), the cotrace cycle, and f and phi-dual (or ``pd``)
+    moved onto the renamed complex and its dual."""
+    _check_endomorphism(cx, f)
+    if reduce_complex(cx).one_steps:
+        raise InfinityNotZero(
+            "free summands survive inverting U; the quantity is undefined")
+    pcx, pf, ppd = _positional(cx, f, phi_dual(cx) if pd is None else pd)
+    z = cotrace_map(pcx).apply_chain(LaurentChain.of(("1", 0)))
+    return pcx, tensor(pcx, dual(pcx)), z, pf, ppd
 
 
 def delta_quantity(cx: GradedComplex, f: ChainMap, *,
@@ -90,34 +103,20 @@ def delta_quantity(cx: GradedComplex, f: ChainMap, *,
     complex.  ``_phi_dual_override`` swaps out the phi-dual factor and
     exists for fault-injection tests only.
     """
-    _check_endomorphism(cx, f)
-    if reduce_complex(cx).one_steps:
-        raise InfinityNotZero(
-            "free summands survive inverting U; the quantity is undefined")
-    pairing = tensor(cx, dual(cx))
-    cotr = cotrace_map(cx)
-    z = cotr.apply_chain(LaurentChain.of(("1", 0)))
+    pcx, pairing, z, pf, ppd = _pairing_setup(cx, f, _phi_dual_override)
     w = _delta_inverse(reduce_complex(pairing), z)
-    pd = phi_dual(cx) if _phi_dual_override is None else _phi_dual_override
-    moved = tensor_map(f, pd).apply_chain(w)
-    traced = trace_map(cx).apply_chain(moved)
-    return traced.coefficient("1", -1)
+    moved = tensor_map(pf, ppd).apply_chain(w)
+    return trace_map(pcx).apply_chain(moved).coefficient("1", -1)
 
 
 def _delta_quantity_swapped(cx: GradedComplex, f: ChainMap) -> int:
     """Same composite with delta-inverse applied after (f tensor phi-dual)
     instead of before.  The two orders agree by naturality of the
     connecting map; the test suite keeps both honest."""
-    _check_endomorphism(cx, f)
-    if reduce_complex(cx).one_steps:
-        raise InfinityNotZero(
-            "free summands survive inverting U; the quantity is undefined")
-    pairing = tensor(cx, dual(cx))
-    z = cotrace_map(cx).apply_chain(LaurentChain.of(("1", 0)))
-    moved = tensor_map(f, phi_dual(cx)).apply_chain(z)
+    pcx, pairing, z, pf, ppd = _pairing_setup(cx, f, None)
+    moved = tensor_map(pf, ppd).apply_chain(z)
     w = _delta_inverse(reduce_complex(pairing), moved)
-    traced = trace_map(cx).apply_chain(w)
-    return traced.coefficient("1", -1)
+    return trace_map(pcx).apply_chain(w).coefficient("1", -1)
 
 
 # ---------------------------------------------------------------------------

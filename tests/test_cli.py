@@ -2,20 +2,39 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uchain.cli import main
 from uchain.complexes import (
+    ChainMap,
+    GradedComplex,
+    build_chain_map,
     build_complex,
     complex_to_text,
     cone,
     identity_map,
     map_to_text,
     parse_complex,
+    relabel,
+)
+from uchain.homology import mapping_torus_betti
+from uchain.lefschetz import _delta_quantity_swapped, delta_quantity
+from uchain.normal_form import (
+    random_basis_change,
+    random_chain_map,
+    random_normal_form,
+    realize,
 )
 from uchain.scalars import Poly
 
@@ -301,3 +320,133 @@ def test_unknown_flavor_is_rejected_by_the_parser(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["homology", str(workdir / "two3.cx"), "--flavor", "sideways"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# generator names that look like derived ones
+#
+# Derived complexes name their generators g*, x.y and g[1].  Input names
+# built from the same pieces must not change any number the CLI reports.
+
+COLLIDE = """\
+complex collide
+gen a 1
+gen b.c 0
+gen a.b 1
+gen c 0
+d a c U^2
+d a.b b.c U
+"""
+
+COLLIDE_ID = """\
+map id
+source collide
+target collide
+degree 0
+f a a 1
+f b.c b.c 1
+f a.b a.b 1
+f c c 1
+"""
+
+SHIFTED = "complex s\ngen {0} 0\ngen {1} 1\n"
+SHIFTED_ID = "map id\nsource s\ntarget s\ndegree 0\nf {0} {0} 1\nf {1} {1} 1\n"
+
+
+def test_delta_quantity_on_colliding_pair_names_matches_lefschetz(workdir,
+                                                                   capsys):
+    (workdir / "collide.cx").write_text(COLLIDE)
+    (workdir / "collide.map").write_text(COLLIDE_ID)
+    argv = [str(workdir / "collide.cx"), str(workdir / "collide.map")]
+    code, out = _run(capsys, ["delta-quantity", *argv])
+    assert (code, out) == (0, '{"value":1}\n')
+    code, out = _run(capsys, ["lefschetz", *argv])
+    assert code == 0 and json.loads(out)["value"] == 1
+
+
+def test_pairing_check_on_colliding_pair_names(workdir, capsys):
+    (workdir / "collide.cx").write_text(COLLIDE)
+    code, out = _run(capsys, ["pairing-check", str(workdir / "collide.cx")])
+    assert code == 0
+    assert out == ('{"dimension":3,"invertible":true,"matrix_rank":3,'
+                   '"trace_cotrace_ok":true}\n')
+
+
+def test_mapping_torus_on_a_shifted_looking_name(workdir, capsys):
+    outs = []
+    for names in (("x", "x[1]"), ("p", "q")):
+        (workdir / "s.cx").write_text(SHIFTED.format(*names))
+        (workdir / "s.map").write_text(SHIFTED_ID.format(*names))
+        code, out = _run(capsys, ["mapping-torus", str(workdir / "s.cx"),
+                                  str(workdir / "s.map")])
+        assert code == 0
+        outs.append(out)
+    assert outs == ['{"betti":{"0":1,"1":2,"2":1}}\n'] * 2
+
+
+def test_cone_output_keeps_input_names_so_a_shifted_clash_exits_one(workdir,
+                                                                    capsys):
+    (workdir / "s.cx").write_text(SHIFTED.format("x", "x[1]"))
+    (workdir / "s.map").write_text(SHIFTED_ID.format("x", "x[1]"))
+    path = str(workdir / "s.cx")
+    code, out = _run(capsys, ["cone", path, path, str(workdir / "s.map")])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "DuplicateGenerator"
+
+
+def _plain_complex(seed: int | None) -> GradedComplex:
+    """A torsion complex with plain names; None gives COLLIDE's shape."""
+    if seed is None:
+        return build_complex("collide", [("g0", 1), ("g1", 0), ("g2", 1),
+                                         ("g3", 0)],
+                             [("g0", "g3", Poly.u(2)), ("g2", "g1", Poly.u(1))])
+    rng = random.Random(seed)
+    nf = random_normal_form(rng, max_rank=6, max_exponent=4, one_steps=False)
+    return random_basis_change(realize(nf), seed=seed + 1,
+                               steps=rng.randint(0, 15))
+
+
+def _mod_u(cx: GradedComplex, f: ChainMap) -> tuple[GradedComplex, ChainMap]:
+    """Constant terms of d and f: a U-free complex and chain map (U = 0
+    is a ring map, so d^2 = 0 and the chain relation survive)."""
+    u0 = build_complex(cx.name, [(g, cx.gradings[g]) for g in cx.generators],
+                       [(s, t, Poly(p.bits & 1)) for (t, s), p in cx.d.items()
+                        if p.bits & 1])
+    return u0, build_chain_map(f.name, u0, u0, 0,
+                               [(s, t, Poly(p.bits & 1))
+                                for (t, s), p in f.entries.items()
+                                if p.bits & 1])
+
+
+def _pairing_check(cx: GradedComplex) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cx.cx"
+        path.write_text(complex_to_text(cx))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["pairing-check", str(path)])
+    return out.getvalue()
+
+
+def _numbers(cx: GradedComplex, f: ChainMap) -> tuple:
+    return (delta_quantity(cx, f), _delta_quantity_swapped(cx, f),
+            _pairing_check(cx), mapping_torus_betti(*_mod_u(cx, f)))
+
+
+_DERIVED_LOOKING = st.lists(st.sampled_from(["a", "b", "c", ".", "*", "[1]"]),
+                            min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       names=st.lists(_DERIVED_LOOKING, min_size=6, max_size=6, unique=True))
+@example(seed=None, names=["a", "b.c", "a.b", "c", "x", "y"])
+@example(seed=3, names=["x", "x[1]", "a.b", "c", "a", "b.c"])
+def test_numbers_do_not_depend_on_generator_names(seed, names):
+    cx = _plain_complex(seed)
+    f = random_chain_map(cx, seed or 0)
+    ren = dict(zip(cx.generators, names))
+    rcx = relabel(cx, ren)
+    rf = build_chain_map(f.name, rcx, rcx, 0,
+                         [(ren[s], ren[t], p) for (t, s), p in f.entries.items()])
+    assert _numbers(rcx, rf) == _numbers(cx, f)
