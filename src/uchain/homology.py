@@ -101,10 +101,11 @@ def _cleared_column(red: Reduction, j: int) -> LaurentChain:
     return LaurentChain(terms)
 
 
-def _negative_shift(red: Reduction, col: list[int], depth: int) -> LaurentChain:
-    """Strictly negative part of U^-depth times a series basis column."""
+def _negative_shift(red: Reduction, col: dict[int, int],
+                    depth: int) -> LaurentChain:
+    """Strictly negative part of U^-depth times a sparse series basis column."""
     terms: list[tuple[str, int]] = []
-    for row, bits in enumerate(col):
+    for row, bits in col.items():
         low = bits & ((1 << depth) - 1)
         if low:
             g = red.complex.generators[row]
@@ -227,11 +228,10 @@ def _torsion_coords(red: Reduction, chain: LaurentChain) -> int:
     _, qi = red.series_transform()
     out = 0
     for k, r in enumerate(red.two_steps):
-        row = qi[r.b]
         acc = 0
-        for j, yj in enumerate(y):
-            if yj and row[j]:
-                acc ^= _pmul(row[j], yj)
+        for j, bits in qi[r.b].items():
+            if y[j]:
+                acc ^= _pmul(bits, y[j])
         out |= (acc & ((1 << r.exponent) - 1)) << red.offsets[k]
     return out
 

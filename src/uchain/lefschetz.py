@@ -83,13 +83,17 @@ def _pairing_setup(cx: GradedComplex, f: ChainMap, pd: ChainMap | None,
                    ) -> tuple[GradedComplex, GradedComplex, LaurentChain,
                               ChainMap, ChainMap]:
     """Shared start of both orders, on positional ids: the renamed complex,
-    C tensor dual(C), the cotrace cycle, and f and phi-dual (or ``pd``)
-    moved onto the renamed complex and its dual."""
+    C tensor dual(C), the cotrace cycle, f moved onto the renamed complex,
+    and phi-dual of the renamed complex (or ``pd`` moved onto its dual)."""
     _check_endomorphism(cx, f)
     if reduce_complex(cx).one_steps:
         raise InfinityNotZero(
             "free summands survive inverting U; the quantity is undefined")
-    pcx, pf, ppd = _positional(cx, f, phi_dual(cx) if pd is None else pd)
+    if pd is None:
+        pcx, pf = _positional(cx, f)
+        ppd = phi_dual(pcx)
+    else:
+        pcx, pf, ppd = _positional(cx, f, pd)
     z = cotrace_map(pcx).apply_chain(LaurentChain.of(("1", 0)))
     return pcx, tensor(pcx, dual(pcx)), z, pf, ppd
 

@@ -11,15 +11,24 @@ as a 2-step of exponent v, or as a cancelled acyclic pair when v = 0.
 Since d^2 = 0, each cleared pair splits off as a direct summand, which
 the code re-checks after every pivot.
 
+The selection reads a heap of (v, target index, source index) keys
+instead of scanning every entry: each nonzero write pushes its entry's
+key, and a popped key whose entry has since been cleared or changed
+valuation is skipped.  Every live entry's current key is in the heap, so
+the smallest valid key is the smallest over the live entries: the
+tie-break, and with it every pivot and logged operation, is that of a
+full scan.
+
 Beyond the multiset invariants the reduction keeps the change of basis:
 every elementary operation is logged and the basis matrices Q (new basis
 in old coordinates, columnwise) and Q^-1 are replayed on demand -- either
-exactly, or as power-series prefixes modulo U^cap with
+exactly, or as sparse power-series prefixes modulo U^cap with
 cap = max exponent + 1, which is all the homology layer consumes.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -29,7 +38,7 @@ from .complexes import (ChainMap, GradedComplex, _accumulate, _mat_mul,
                         build_chain_map, build_complex, identity_map)
 from .errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
 from .scalars import (LS0, LS1, P0, P1, LocalScalar, Poly, _pdivmod, _pgcd,
-                      _pmul)
+                      _pmul, _val)
 
 __all__ = [
     "NormalForm", "TwoStepRecord", "Reduction",
@@ -97,7 +106,8 @@ class Reduction:
         self.cancelled_pairs: int = cancelled
         self.ops: tuple[tuple[int, int, LocalScalar], ...] = tuple(ops)
         self.cap: int = max((r.exponent for r in self.two_steps), default=0) + 1
-        self._series: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
+        self._series: dict[int, tuple[list[dict[int, int]],
+                                      list[dict[int, int]]]] = {}
         self._exact: tuple[list[list[LocalScalar]], list[list[LocalScalar]]] | None = None
         # flat torsion coordinate layout: one bit per (summand, power)
         self.offsets: list[int] = []
@@ -119,28 +129,27 @@ class Reduction:
     # characteristic 2).
 
     def series_transform(self, order: int | None = None,
-                         ) -> tuple[list[list[int]], list[list[int]]]:
-        """(Q columns, Q^-1 rows) as power-series bit masks modulo U^order.
+                         ) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        """(Q columns, Q^-1 rows) as sparse power-series bit masks modulo
+        U^order.
 
-        ``q_cols[j][i]`` is the series of Q[i][j]; ``qinv_rows[i][j]``
-        likewise for Q^-1.  ``order`` defaults to cap, which covers every
+        ``q_cols[j]`` maps row i to the series of Q[i][j] and
+        ``qinv_rows[i]`` maps column j to the series of Q^-1[i][j]; zero
+        entries are absent, so an op costs the nonzeros of the vector it
+        adds, not the rank.  ``order`` defaults to cap, which covers every
         coordinate read against the torsion summands.
         """
         if order is None:
             order = self.cap
         if order not in self._series:
-            n = self.complex.rank
             mask = (1 << order) - 1
-            q = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-            qi = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+            q = [{j: 1} for j in range(self.complex.rank)]
+            qi = [{i: 1} for i in range(self.complex.rank)]
             for i, j, c in self.ops:
                 cb = c.series(order)
-                if cb == 0:
-                    continue
-                q[i] = [(a ^ _pmul(cb, b)) & mask
-                        for a, b in zip(q[i], q[j])]
-                qi[j] = [(a ^ _pmul(cb, b)) & mask
-                         for a, b in zip(qi[j], qi[i])]
+                if cb:
+                    _series_addmul(q[i], q[j], cb, mask)
+                    _series_addmul(qi[j], qi[i], cb, mask)
             self._series[order] = (q, qi)
         return self._series[order]
 
@@ -159,18 +168,32 @@ class Reduction:
         return self._exact
 
 
+def _series_addmul(dst: dict[int, int], src: dict[int, int], cb: int,
+                   mask: int) -> None:
+    """dst += cb * src on sparse series vectors, truncated by ``mask``."""
+    for k, b in src.items():
+        v = (dst.get(k, 0) ^ _pmul(cb, b)) & mask
+        if v:
+            dst[k] = v
+        else:
+            dst.pop(k, None)
+
+
 def reduce_complex(cx: GradedComplex) -> Reduction:
     """Run the valuation-pivot reduction; see the module docstring."""
     n = cx.rank
     mat: dict[tuple[int, int], LocalScalar] = {}
     rows: list[set[int]] = [set() for _ in range(n)]
     cols: list[set[int]] = [set() for _ in range(n)]
+    heap: list[tuple[int, int, int]] = []
     idx = cx.index()
     for (t, s), p in cx.d.items():
         ti, si = idx[t], idx[s]
         mat[(ti, si)] = LocalScalar(p)
         rows[ti].add(si)
         cols[si].add(ti)
+        heap.append((_val(p.bits), ti, si))
+    heapq.heapify(heap)
 
     def put(t: int, s: int, v: LocalScalar) -> None:
         if v.is_zero():
@@ -182,6 +205,7 @@ def reduce_complex(cx: GradedComplex) -> Reduction:
             mat[(t, s)] = v
             rows[t].add(s)
             cols[s].add(t)
+            heapq.heappush(heap, (_val(v.num), t, s))
 
     def row_addmul(dst: int, src: int, c: LocalScalar) -> None:
         for s in list(rows[src]):
@@ -197,13 +221,10 @@ def reduce_complex(cx: GradedComplex) -> Reduction:
     cancelled = 0
 
     while mat:
-        best_key = None
-        for (t, s), v in mat.items():
-            key = ((v.num & -v.num).bit_length() - 1, t, s)
-            if best_key is None or key < best_key:
-                best_key = key
-        v, t, s = best_key
-        pivot = mat[(t, s)]
+        v, t, s = heapq.heappop(heap)
+        pivot = mat.get((t, s))
+        if pivot is None or _val(pivot.num) != v:
+            continue            # stale key: cleared, or rewritten since
         for s2 in sorted(rows[t] - {s}):
             c = mat[(t, s2)] / pivot
             ops.append((s2, s, c))          # g_s2 <- g_s2 + c g_s

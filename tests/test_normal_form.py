@@ -5,11 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uchain.complexes import build_complex, compose, identity_map
+from uchain.complexes import (GradedComplex, build_complex, compose, dual,
+                               identity_map, tensor)
 from uchain.errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
 from uchain.normal_form import (
     NormalForm,
+    TwoStepRecord,
     classify,
     minor_gcd_check,
     random_basis_change,
@@ -18,7 +22,7 @@ from uchain.normal_form import (
     realize,
     reduce_complex,
 )
-from uchain.scalars import LS0, LS1, LocalScalar, Poly
+from uchain.scalars import LS0, LS1, LocalScalar, Poly, _val
 
 
 def _random_pair(seed: int, max_rank: int = 6, max_exponent: int = 5):
@@ -28,6 +32,23 @@ def _random_pair(seed: int, max_rank: int = 6, max_exponent: int = 5):
     cx = random_basis_change(realize(nf), seed=seed + 1,
                              steps=rng.randint(0, 15))
     return nf, cx
+
+
+def _with_unit_pair(seed: int, max_rank: int = 4) -> GradedComplex:
+    """A scrambled torsion complex plus an acyclic pair c -> (1+U) e in the
+    gradings of its first 2-step, so the basis change mixes valuation-0
+    entries into the torsion block."""
+    rng = random.Random(seed)
+    nf = random_normal_form(rng, max_rank=max_rank, max_exponent=3,
+                            one_steps=False)
+    model = realize(nf)
+    g, _ = nf.two_steps[0]
+    gens = [(x, model.gradings[x]) for x in model.generators]
+    gens += [("c", g), ("e", g - 1)]
+    entries = [(s, t, p) for (t, s), p in model.d.items()]
+    entries.append(("c", "e", Poly.of(0, 1)))
+    return random_basis_change(build_complex("u", gens, entries),
+                               seed=seed + 1, steps=rng.randint(1, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +211,101 @@ def test_random_chain_map_reaches_the_identity():
 
 
 # ---------------------------------------------------------------------------
+# pivot selection against the full scan it replaced
+
+
+def _full_scan_reduction(cx: GradedComplex):
+    """The reduction with its pivot chosen by scanning every live entry for
+    the smallest (valuation, target, source), as before the pivot heap.
+    Returns (ops, two_steps, one_steps, cancelled_pairs, tied pivots)."""
+    n = cx.rank
+    idx = cx.index()
+    mat = {(idx[t], idx[s]): LocalScalar(p) for (t, s), p in cx.d.items()}
+
+    def put(t, s, v):
+        if v.is_zero():
+            mat.pop((t, s), None)
+        else:
+            mat[(t, s)] = v
+
+    def row_addmul(dst, src, c):
+        for (t, s2), v in list(mat.items()):
+            if t == src:
+                put(dst, s2, mat.get((dst, s2), LS0) + c * v)
+
+    def col_addmul(dst, src, c):
+        for (t2, s), v in list(mat.items()):
+            if s == src:
+                put(t2, dst, mat.get((t2, dst), LS0) + c * v)
+
+    active = set(range(n))
+    ops, two_steps, cancelled, ties = [], [], 0, 0
+    while mat:
+        keys = sorted((_val(v.num), t, s) for (t, s), v in mat.items())
+        v, t, s = keys[0]
+        ties += len(keys) > 1 and keys[1][0] == v
+        pivot = mat[(t, s)]
+        for s2 in sorted(s2 for (t1, s2) in mat if t1 == t and s2 != s):
+            c = mat[(t, s2)] / pivot
+            ops.append((s2, s, c))
+            col_addmul(s2, s, c)
+            row_addmul(s, s2, c)
+        for t2 in sorted(t2 for (t2, s1) in mat if s1 == s and t2 != t):
+            c = mat[(t2, s)] / pivot
+            ops.append((t, t2, c))
+            row_addmul(t2, t, c)
+            col_addmul(t, t2, c)
+        put(t, s, LS0)
+        active -= {s, t}
+        if v == 0:
+            cancelled += 1
+        else:
+            two_steps.append(TwoStepRecord(
+                a=s, b=t, grading_a=cx.gradings[cx.generators[s]],
+                exponent=v,
+                unit=LocalScalar(Poly(pivot.num >> v), Poly(pivot.den))))
+    one_steps = sorted((i, cx.gradings[cx.generators[i]]) for i in active)
+    return ops, two_steps, one_steps, cancelled, ties
+
+
+def _assert_heap_matches_full_scan(cx: GradedComplex) -> tuple[int, int]:
+    red = reduce_complex(cx)
+    ops, two_steps, one_steps, cancelled, ties = _full_scan_reduction(cx)
+    assert red.ops == tuple(ops)
+    assert red.two_steps == tuple(two_steps)
+    assert red.one_steps == tuple(one_steps)
+    assert red.cancelled_pairs == cancelled
+    return cancelled, ties
+
+
+def test_pivot_heap_matches_the_full_scan_on_seeded_complexes():
+    seen_cancelled = seen_ties = 0
+    for seed in range(12):
+        _, cx = _random_pair(seed)
+        _assert_heap_matches_full_scan(cx)
+        plain = _random_pair(seed, max_rank=6, max_exponent=3)[1]
+        unit = _with_unit_pair(seed)
+        for x in (unit, tensor(plain, dual(plain)), tensor(unit, dual(unit))):
+            cancelled, ties = _assert_heap_matches_full_scan(x)
+            seen_cancelled += cancelled
+            seen_ties += ties
+    # the inputs do exercise valuation-0 pivots and equal-valuation ties
+    assert seen_cancelled > 0
+    assert seen_ties > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       unit_pair=st.booleans(), pairing=st.booleans())
+def test_pivot_heap_matches_the_full_scan(seed, unit_pair, pairing):
+    if unit_pair:
+        cx = _with_unit_pair(seed, max_rank=4 if pairing else 6)
+    else:
+        cx = _random_pair(seed, max_rank=6 if pairing else 8)[1]
+    _assert_heap_matches_full_scan(tensor(cx, dual(cx)) if pairing else cx)
+
+
+# ---------------------------------------------------------------------------
 # the reduction's recorded basis change
 
 
@@ -208,8 +324,13 @@ def test_exact_transform_matrices_are_mutually_inverse():
 
 
 def test_series_transform_agrees_with_exact_transform():
-    for seed in range(10):
-        _, cx = _random_pair(seed)
+    inputs = [_random_pair(seed)[1] for seed in range(10)]
+    for seed in range(3):
+        small = _random_pair(seed, max_rank=4, max_exponent=3)[1]
+        inputs.append(tensor(small, dual(small)))
+        unit = _with_unit_pair(seed, max_rank=2)
+        inputs.append(tensor(unit, dual(unit)))
+    for cx in inputs:
         red = reduce_complex(cx)
         order = red.cap + 3
         q_cols, qinv_rows = red.series_transform(order)
@@ -217,8 +338,10 @@ def test_series_transform_agrees_with_exact_transform():
         n = cx.rank
         for i in range(n):
             for j in range(n):
-                assert q_cols[j][i] == q[i][j].series(order)
-                assert qinv_rows[i][j] == qi[i][j].series(order)
+                assert q_cols[j].get(i, 0) == q[i][j].series(order)
+                assert qinv_rows[i].get(j, 0) == qi[i][j].series(order)
+        # the sparse layout stores no zero series
+        assert all(b for vec in q_cols + qinv_rows for b in vec.values())
 
 
 def test_reduction_diagonalizes_the_differential():
