@@ -32,6 +32,7 @@ first renames its input to positional ids with ``_positional``.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Any, Container, Hashable, Iterable, Iterator, Mapping,
@@ -346,17 +347,14 @@ def _shift_id(g: str) -> str:
 
 def _positional(cx: GradedComplex, *maps: ChainMap) -> tuple[Any, ...]:
     """``cx`` with generator k renamed ``"k"``, then each endomorphism of
-    ``cx`` or of ``dual(cx)`` moved along by position onto the renamed
-    complex or its dual.  Ids derived from digit strings cannot collide."""
+    ``cx`` moved along onto the renamed complex.  Ids derived from digit
+    strings cannot collide."""
     pcx = relabel(cx, {g: str(k) for k, g in enumerate(cx.generators)})
-    out: list[Any] = [pcx]
-    for fm in maps:
-        c = pcx if fm.source == cx else dual(pcx)
-        ren = dict(zip(fm.source.generators, c.generators))
-        out.append(_chain_map(fm.name, c, c, fm.degree,
+    ren = dict(zip(cx.generators, pcx.generators))
+    return (pcx, *(_chain_map(fm.name, pcx, pcx, fm.degree,
                               (((ren[t], ren[s]), p)
-                               for (t, s), p in fm.entries.items())))
-    return tuple(out)
+                               for (t, s), p in fm.entries.items()))
+                   for fm in maps))
 
 
 def dual(cx: GradedComplex) -> GradedComplex:
@@ -480,6 +478,13 @@ def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
 #                                        f <source> <target> <poly>
 
 
+def _integer(token: str, what: str, line: int) -> int:
+    """A ``-?[0-9]+`` token as an int; ``int`` also takes ``+1`` or ``1_0``."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ParseError(f"{what} must be an integer", line=line, token=token)
+    return int(token)
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -505,12 +510,7 @@ def parse_complex(text: str) -> GradedComplex:
         if parts[0] == "gen":
             if len(parts) != 3:
                 raise ParseError("expected 'gen <id> <grading>'", line=ln, token=line)
-            try:
-                k = int(parts[2])
-            except ValueError:
-                raise ParseError("grading must be an integer", line=ln,
-                                 token=parts[2]) from None
-            gens.append((parts[1], k))
+            gens.append((parts[1], _integer(parts[2], "grading", ln)))
         elif parts[0] == "d":
             if len(parts) < 4:
                 raise ParseError("expected 'd <source> <target> <poly>'",
@@ -549,11 +549,7 @@ def parse_chain_map(text: str, source: GradedComplex,
         elif parts[0] == "degree":
             if len(parts) != 2:
                 raise ParseError("expected 'degree <int>'", line=ln, token=line)
-            try:
-                degree = int(parts[1])
-            except ValueError:
-                raise ParseError("degree must be an integer", line=ln,
-                                 token=parts[1]) from None
+            degree = _integer(parts[1], "degree", ln)
         elif parts[0] == "f":
             if len(parts) < 4:
                 raise ParseError("expected 'f <source> <target> <poly>'",

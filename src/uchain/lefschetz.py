@@ -11,6 +11,15 @@ complex (flavor plus), read off finite truncation windows.  The two
 agree on every valid input; ``verify_proposition`` runs that comparison
 as a seeded campaign and reports any disagreement with enough context to
 replay it.
+
+The composite is evaluated blockwise, without building C tensor dual(C).
+Cotrace and trace do not depend on the basis, so they may be taken in the
+basis that ``reduce_complex(C)`` finds, where the cotrace cycle splits over
+the summands and a cancelled pair's part is a boundary.  For a 2-step
+a -> p b with p = U^n u, d(a.b*) = p (a.a* + b.b*), so delta-inverse sends
+that part to the negative part of p^-1 a.b*.  F tensor Phi-dual and the
+trace only raise exponents, so the part adds the U^-1 coefficient of
+p^-1 b*(Phi F a), which is the U^(n-1) coefficient of u^-1 b*(Phi F a).
 """
 
 from __future__ import annotations
@@ -22,16 +31,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .complexes import (ChainMap, GradedComplex, LaurentChain, _chain_map,
-                        _dual_id, _pair_id, _positional, complex_to_text,
-                        dual, identity_map, map_to_text, tensor, tensor_map,
-                        unit_complex)
+                        _dual_id, _mat_mul, _pair_id, complex_to_text, dual,
+                        identity_map, map_to_text, tensor, unit_complex)
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, ParameterOutOfRange)
 from .gf2 import Span
-from .homology import _delta_inverse, _Window
+from .homology import _Window
 from .normal_form import (random_basis_change, random_chain_map,
                           random_normal_form, realize, reduce_complex)
-from .scalars import P1
+from .scalars import P1, _pmul
 
 __all__ = [
     "phi", "phi_dual", "trace_map", "cotrace_map",
@@ -79,25 +87,6 @@ def _check_endomorphism(cx: GradedComplex, f: ChainMap) -> None:
         raise ComplexMismatch(f"map {f.name!r} is not an endomorphism of the complex")
 
 
-def _pairing_setup(cx: GradedComplex, f: ChainMap, pd: ChainMap | None,
-                   ) -> tuple[GradedComplex, GradedComplex, LaurentChain,
-                              ChainMap, ChainMap]:
-    """Shared start of both orders, on positional ids: the renamed complex,
-    C tensor dual(C), the cotrace cycle, f moved onto the renamed complex,
-    and phi-dual of the renamed complex (or ``pd`` moved onto its dual)."""
-    _check_endomorphism(cx, f)
-    if reduce_complex(cx).one_steps:
-        raise InfinityNotZero(
-            "free summands survive inverting U; the quantity is undefined")
-    if pd is None:
-        pcx, pf = _positional(cx, f)
-        ppd = phi_dual(pcx)
-    else:
-        pcx, pf, ppd = _positional(cx, f, pd)
-    z = cotrace_map(pcx).apply_chain(LaurentChain.of(("1", 0)))
-    return pcx, tensor(pcx, dual(pcx)), z, pf, ppd
-
-
 def delta_quantity(cx: GradedComplex, f: ChainMap, *,
                    _phi_dual_override: ChainMap | None = None) -> int:
     """Coefficient of U^-1 in trace((f tensor phi-dual)(delta-inverse(cotrace 1))).
@@ -106,21 +95,36 @@ def delta_quantity(cx: GradedComplex, f: ChainMap, *,
     classification, so that the connecting map is invertible on the tensor
     complex.  ``_phi_dual_override`` swaps out the phi-dual factor and
     exists for fault-injection tests only.
+
+    Evaluated blockwise (see the module docstring): each 2-step
+    a -> U^n u b adds the U^(n-1) coefficient of u^-1 b*(Phi f a), with a
+    a column of Q and b* a row of Q^-1.
     """
-    pcx, pairing, z, pf, ppd = _pairing_setup(cx, f, _phi_dual_override)
-    w = _delta_inverse(reduce_complex(pairing), z)
-    moved = tensor_map(pf, ppd).apply_chain(w)
-    return trace_map(pcx).apply_chain(moved).coefficient("1", -1)
-
-
-def _delta_quantity_swapped(cx: GradedComplex, f: ChainMap) -> int:
-    """Same composite with delta-inverse applied after (f tensor phi-dual)
-    instead of before.  The two orders agree by naturality of the
-    connecting map; the test suite keeps both honest."""
-    pcx, pairing, z, pf, ppd = _pairing_setup(cx, f, None)
-    moved = tensor_map(pf, ppd).apply_chain(z)
-    w = _delta_inverse(reduce_complex(pairing), moved)
-    return trace_map(pcx).apply_chain(w).coefficient("1", -1)
+    _check_endomorphism(cx, f)
+    red = reduce_complex(cx)
+    if red.one_steps:
+        raise InfinityNotZero(
+            "free summands survive inverting U; the quantity is undefined")
+    if _phi_dual_override is None:
+        phi_entries = phi(cx).entries
+    else:   # pairing with phi-dual is pairing with its transpose on C
+        name = {_dual_id(g): g for g in cx.generators}
+        phi_entries = {(name[s], name[t]): p for (t, s), p
+                       in _phi_dual_override.entries.items()}
+    idx = cx.index()
+    phi_f = [(idx[t], idx[s], p.bits)
+             for (t, s), p in _mat_mul(phi_entries, f.entries).items()]
+    q, qi = red.series_transform()
+    total = 0
+    for r in red.two_steps:
+        col, row = q[r.a], qi[r.b]
+        pair = 0
+        for t, s, bits in phi_f:
+            if s in col and t in row:
+                pair ^= _pmul(_pmul(bits, col[s]), row[t])
+        n = r.exponent
+        total ^= _pmul(r.unit.inverse().series(n), pair) >> (n - 1) & 1
+    return total
 
 
 # ---------------------------------------------------------------------------

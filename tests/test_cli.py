@@ -6,13 +6,14 @@ import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uchain.cli import main
@@ -23,13 +24,15 @@ from uchain.complexes import (
     build_complex,
     complex_to_text,
     cone,
+    dual,
     identity_map,
     map_to_text,
+    parse_chain_map,
     parse_complex,
     relabel,
 )
 from uchain.homology import mapping_torus_betti
-from uchain.lefschetz import _delta_quantity_swapped, delta_quantity
+from uchain.lefschetz import delta_quantity, verify_proposition
 from uchain.normal_form import (
     random_basis_change,
     random_chain_map,
@@ -310,6 +313,41 @@ def test_map_with_wrong_declared_source_exits_two(workdir, capsys):
     assert json.loads(out)["error"]["kind"] == "ComplexMismatch"
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
+def test_integers_outside_the_grammar_exit_three(workdir, capsys, token):
+    # int() alone would read these as 10, 1 and 1 (an Arabic-Indic digit)
+    bad = workdir / "lenient.cx"
+    bad.write_text(f"complex two\ngen a {token}\ngen b 0\n", encoding="utf-8")
+    code, out = _run(capsys, ["classify", str(bad)])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "ParseError"
+    assert "line 2" in err["detail"]
+    bad_map = workdir / "lenient.map"
+    bad_map.write_text(ID_MAP.replace("degree 0", f"degree {token}"),
+                       encoding="utf-8")
+    code, out = _run(capsys, ["delta-quantity", str(workdir / "two3.cx"),
+                              str(bad_map)])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "ParseError"
+    assert "line 4" in err["detail"]
+
+
+def test_products_past_the_exponent_limit_exit_one(workdir, capsys):
+    # d^2 = 0, since the paths through b and c cancel, but checking it
+    # forms U^1200000, past the 2^20 limit that also binds products
+    big = workdir / "big.cx"
+    big.write_text("complex big\ngen a 2\ngen b 1\ngen c 1\ngen e 0\n"
+                   "d a b U^600000\nd a c U^600000\n"
+                   "d b e U^600000\nd c e U^600000\n")
+    code, out = _run(capsys, ["classify", str(big)])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "ExponentOverflow"
+    assert "exponent 1200000" in err["detail"]
+
+
 def test_unknown_verbs_are_rejected_by_the_parser(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", str(workdir / "two3.cx")])
@@ -428,8 +466,8 @@ def _pairing_check(cx: GradedComplex) -> str:
     return out.getvalue()
 
 
-def _numbers(cx: GradedComplex, f: ChainMap) -> tuple:
-    return (delta_quantity(cx, f), _delta_quantity_swapped(cx, f),
+def _numbers(cx: GradedComplex, f: ChainMap, literal) -> tuple:
+    return (delta_quantity(cx, f), literal(cx, f, swapped=True),
             _pairing_check(cx), mapping_torus_betti(*_mod_u(cx, f)))
 
 
@@ -442,11 +480,112 @@ _DERIVED_LOOKING = st.lists(st.sampled_from(["a", "b", "c", ".", "*", "[1]"]),
        names=st.lists(_DERIVED_LOOKING, min_size=6, max_size=6, unique=True))
 @example(seed=None, names=["a", "b.c", "a.b", "c", "x", "y"])
 @example(seed=3, names=["x", "x[1]", "a.b", "c", "a", "b.c"])
-def test_numbers_do_not_depend_on_generator_names(seed, names):
+def test_numbers_do_not_depend_on_generator_names(literal_delta_quantity,
+                                                  seed, names):
     cx = _plain_complex(seed)
     f = random_chain_map(cx, seed or 0)
     ren = dict(zip(cx.generators, names))
     rcx = relabel(cx, ren)
     rf = build_chain_map(f.name, rcx, rcx, 0,
                          [(ren[s], ren[t], p) for (t, s), p in f.entries.items()])
-    assert _numbers(rcx, rf) == _numbers(cx, f)
+    assert _numbers(rcx, rf, literal_delta_quantity) == \
+        _numbers(cx, f, literal_delta_quantity)
+
+
+# ---------------------------------------------------------------------------
+# replaying a campaign failure from its JSON
+
+
+def test_a_mutated_campaign_failure_replays_from_its_json(workdir, capsys):
+    report = verify_proposition(20260814, trials=24, max_rank=8,
+                                max_exponent=6, _mutate_phi_dual=True)
+    failure = json.loads(json.dumps(report.to_json_dict()))["failures"][0]
+    (workdir / "fail.cx").write_text(failure["complex"])
+    (workdir / "fail.map").write_text(failure["map"])
+    files = [str(workdir / "fail.cx"), str(workdir / "fail.map")]
+    for verb in ("lefschetz", "delta-quantity"):
+        code, out = _run(capsys, [verb, *files])
+        assert code == 0
+        assert json.loads(out)["value"] == failure["oracle_value"]
+    cx = parse_complex(failure["complex"])
+    f = parse_chain_map(failure["map"], cx, cx)
+    assert delta_quantity(cx, f, _phi_dual_override=identity_map(dual(cx))) \
+        == failure["delta_value"] != failure["oracle_value"]
+
+
+# ---------------------------------------------------------------------------
+# mangled input files
+
+
+def _fuzz_base(seed: int) -> tuple[str, str]:
+    """Complex and map text of a small scrambled complex, 1-steps allowed,
+    exponents at most 64."""
+    rng = random.Random(seed)
+    nf = random_normal_form(rng, max_rank=6, max_exponent=64)
+    cx = random_basis_change(realize(nf, name=f"fz{seed}"), seed=seed + 1,
+                             steps=rng.randint(0, 8))
+    return complex_to_text(cx), map_to_text(random_chain_map(cx, seed + 2))
+
+
+_MANGLE = st.tuples(st.sampled_from(["drop", "dup", "swap"]),
+                    st.sampled_from(["line", "token", "byte"]),
+                    st.integers(min_value=0, max_value=10_000),
+                    st.integers(min_value=0, max_value=10_000),
+                    st.integers(min_value=1, max_value=255))
+
+
+def _mangle(text: str, edits) -> bytes:
+    """Drop, duplicate or swap lines or tokens; bytes are dropped,
+    duplicated or XOR-flipped."""
+    data = text.encode()
+    for op, unit, i, j, flip in edits:
+        if unit == "byte":
+            if not data:
+                continue
+            i %= len(data)
+            if op == "drop":
+                data = data[:i] + data[i + 1:]
+            elif op == "dup":
+                data = data[:i + 1] + data[i:]
+            else:
+                data = data[:i] + bytes([data[i] ^ flip]) + data[i + 1:]
+            continue
+        sep = b"\n" if unit == "line" else b" "
+        parts = data.split(sep)
+        i %= len(parts)
+        j %= len(parts)
+        if op == "drop":
+            del parts[i]
+        elif op == "dup":
+            parts.insert(i, parts[i])
+        else:
+            parts[i], parts[j] = parts[j], parts[i]
+        data = sep.join(parts)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=50),
+       cx_edits=st.lists(_MANGLE, max_size=3),
+       map_edits=st.lists(_MANGLE, max_size=3))
+def test_mangled_files_give_one_json_object_and_a_known_exit_code(
+        seed, cx_edits, map_edits):
+    cx_text, map_text = _fuzz_base(seed)
+    cx_bytes, map_bytes = _mangle(cx_text, cx_edits), _mangle(map_text, map_edits)
+    # past exponent 64 the oracle's windows grow without a bound worth testing
+    written = re.findall(rb"\^\s*([0-9]+)", cx_bytes + map_bytes)
+    assume(all(len(k) <= 2 and int(k) <= 64 for k in written))
+    with tempfile.TemporaryDirectory() as tmp:
+        cx_path, map_path = Path(tmp) / "f.cx", Path(tmp) / "f.map"
+        cx_path.write_bytes(cx_bytes)
+        map_path.write_bytes(map_bytes)
+        c, m = str(cx_path), str(map_path)
+        for argv in (["classify", c], ["homology", c], ["delta-quantity", c, m],
+                     ["lefschetz", c, m], ["cone", c, c, m],
+                     ["mapping-torus", c, m], ["pairing-check", c]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            assert code in (0, 1, 2, 3, 4), argv
+            assert out.getvalue().count("\n") == 1, argv
+            assert isinstance(json.loads(out.getvalue()), dict), argv

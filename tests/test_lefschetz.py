@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uchain.complexes import (
+    ChainMap,
     GradedComplex,
     LaurentChain,
     build_chain_map,
@@ -26,13 +29,13 @@ from uchain.errors import (
     InfinityNotZero,
     ParameterOutOfRange,
 )
-from uchain.complexes import _mat_mul
+from uchain.complexes import _dual_id, _mat_mul
 from uchain.gf2 import rank
 from uchain import lefschetz
 from uchain.lefschetz import (
     TrialFailure,
     VerificationReport,
-    _delta_quantity_swapped,
+    _trial_seed,
     _pool_size,
     cotrace_map,
     delta_quantity,
@@ -44,6 +47,7 @@ from uchain.lefschetz import (
     verify_proposition,
 )
 from uchain.normal_form import (
+    NormalForm,
     classify,
     random_basis_change,
     random_chain_map,
@@ -216,11 +220,94 @@ def test_duality_quantity_is_invariant_under_conjugation():
         assert delta_quantity(moved, conj) == delta_quantity(cx, f)
 
 
-def test_both_composition_orders_give_the_same_quantity():
+def test_both_composition_orders_give_the_same_quantity(
+        literal_delta_quantity):
     for seed in range(20):
         cx = _torsion_complex(seed)
         f = random_chain_map(cx, seed=seed + 13)
-        assert _delta_quantity_swapped(cx, f) == delta_quantity(cx, f)
+        assert literal_delta_quantity(cx, f, swapped=True) == \
+            delta_quantity(cx, f)
+
+
+def _assert_matches_the_literal_composite(literal, cx, f, *overrides) -> None:
+    """delta_quantity equals the literal composite in both orders, plain,
+    with the identity in place of phi-dual, and with each override."""
+    for override in (None, identity_map(dual(cx)), *overrides):
+        value = delta_quantity(cx, f, _phi_dual_override=override)
+        for swapped in (False, True):
+            assert literal(cx, f, phi_dual_override=override,
+                           swapped=swapped) == value
+
+
+def test_blockwise_quantity_matches_the_literal_composite_on_campaign_trials(
+        literal_delta_quantity):
+    # the trials verify_proposition(20260814, ..., 8, 6) runs
+    for index in range(40):
+        rng = random.Random(_trial_seed(20260814, index))
+        nf = random_normal_form(rng, 8, 6, one_steps=False)
+        cx = random_basis_change(realize(nf, name=f"trial{index}"),
+                                 seed=rng.getrandbits(32),
+                                 steps=rng.randint(0, 20))
+        f = random_chain_map(cx, rng.getrandbits(32))
+        _assert_matches_the_literal_composite(literal_delta_quantity, cx, f)
+
+
+_UNITS = st.integers(min_value=0, max_value=7).map(lambda b: Poly(2 * b + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       pivot_units=st.lists(_UNITS, min_size=1, max_size=3),
+       cancelled=st.lists(_UNITS, max_size=2),
+       steps=st.integers(min_value=0, max_value=25))
+def test_blockwise_quantity_matches_the_literal_composite(
+        literal_delta_quantity, seed, pivot_units, cancelled, steps):
+    """Scrambled complexes of 2-steps a_k -> U^n unit b_k and acyclic pairs
+    c -> unit e (valuation 0) in the 2-steps' gradings.  One more override
+    is the transpose of a degree -1 chain map sending each a_k to
+    multiples of the b_j: unlike phi, it makes the value depend on the
+    pivots' units and on which way the override is transposed."""
+    rng = random.Random(seed)
+    gens: list[tuple[str, int]] = []
+    entries = []
+    for k, unit in enumerate(pivot_units):
+        g = rng.randint(-1, 1)
+        gens += [(f"a{k}", g), (f"b{k}", g - 1)]
+        entries.append((f"a{k}", f"b{k}", Poly.u(rng.randint(1, 4)) * unit))
+    for k, unit in enumerate(cancelled):
+        g = gens[2 * rng.randrange(len(pivot_units))][1]
+        gens += [(f"c{k}", g), (f"e{k}", g - 1)]
+        entries.append((f"c{k}", f"e{k}", unit))
+    model = build_complex("model", gens, entries)
+    k_range = range(len(pivot_units))
+    a_to_b = build_chain_map(
+        "a_to_b", model, model, -1,
+        [(f"a{k}", f"b{j}", Poly(rng.getrandbits(2)))
+         for k in k_range for j in k_range
+         if model.gradings[f"a{k}"] == model.gradings[f"a{j}"]])
+    cx, iso, iso_inv = random_basis_change(model, seed=seed + 1, steps=steps,
+                                           with_iso=True)
+    moved = compose(iso_inv, compose(a_to_b, iso))
+    dcx = dual(cx)
+    transposed = ChainMap("a_to_b_dual", dcx, dcx, -1,
+                          {(_dual_id(s), _dual_id(t)): p
+                           for (t, s), p in moved.entries.items()})
+    f = random_chain_map(cx, seed + 2)
+    _assert_matches_the_literal_composite(literal_delta_quantity, cx, f,
+                                          transposed)
+
+
+@pytest.mark.parametrize("rank", [16, 24, 32])
+def test_blockwise_quantity_matches_the_literal_composite_at_large_rank(
+        literal_delta_quantity, rank):
+    rng = random.Random(rank)
+    nf = NormalForm((), tuple((rng.randint(-2, 2), rng.randint(1, 3))
+                              for _ in range(rank // 2)))
+    cx = random_basis_change(realize(nf), seed=rank, steps=32)
+    f = random_chain_map(cx, rank + 1)
+    for override in (None, identity_map(dual(cx))):
+        assert literal_delta_quantity(cx, f, phi_dual_override=override) \
+            == delta_quantity(cx, f, _phi_dual_override=override)
 
 
 # ---------------------------------------------------------------------------
