@@ -11,6 +11,7 @@ test fails, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,8 +20,8 @@ from .complexes import (GradedComplex, LaurentChain, _positional, cone,
                         complex_to_text, dual, parse_chain_map, parse_complex)
 from .errors import InfinityNotZero, ParseError, UChainError
 from .gf2 import rank
-from .homology import f2_pairing, h_infinity, h_minus, h_plus, h_red, \
-    mapping_torus_betti
+from .homology import (_h_plus, f2_pairing, h_infinity, h_minus, h_plus,
+                       h_red, mapping_torus_betti)
 from .lefschetz import (cotrace_map, delta_quantity, lefschetz_by_grading,
                         trace_map, verify_proposition)
 from .normal_form import reduce_complex
@@ -47,6 +48,7 @@ def _load_complex(path: str) -> GradedComplex:
     return parse_complex(_read(path))
 
 
+@functools.cache   # built once per process, on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uchain",
@@ -143,11 +145,12 @@ def _cmd_mapping_torus(args) -> tuple[dict, int]:
 
 def _cmd_pairing_check(args) -> tuple[dict, int]:
     cx = _load_complex(args.complex)
-    if reduce_complex(cx).one_steps:
+    red = reduce_complex(cx)
+    if red.one_steps:
         raise InfinityNotZero(
             "free summands survive inverting U; the pairing check needs a "
             "finite plus flavor")
-    plus = h_plus(cx)
+    plus = _h_plus(red)
     red_minus = h_red(dual(cx), "minus")
     rows = []
     for x in plus.basis:

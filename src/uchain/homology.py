@@ -31,8 +31,8 @@ from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
 from .gf2 import (QuotientBasis, kernel_combos, rank, scatter, set_bits,
                   solve)
-from .normal_form import Reduction, reduce_complex
-from .scalars import Poly, _pdivmod, _pgcd, _pmul
+from .normal_form import Reduction, _clear_denominators, reduce_complex
+from .scalars import Poly, _pmul
 
 __all__ = [
     "HomologyPresentation",
@@ -88,17 +88,10 @@ class HomologyPresentation:
 def _cleared_column(red: Reduction, j: int) -> LaurentChain:
     """Column j of the exact basis matrix, times the unit lcm of its
     denominators, as a polynomial chain."""
-    q, _ = red.exact_transform()
-    col = [q[i][j] for i in range(red.complex.rank)]
-    den = 1
-    for c in col:
-        den = _pmul(den, _pdivmod(c.den, _pgcd(den, c.den))[0])
-    terms: list[tuple[str, int]] = []
-    for i, c in enumerate(col):
-        bits = _pmul(c.num, _pdivmod(den, c.den)[0])
-        g = red.complex.generators[i]
-        terms += [(g, e) for e in Poly(bits).exponents()]
-    return LaurentChain(terms)
+    gens = red.complex.generators
+    col = _clear_denominators(red.exact_transform()[0][j])
+    return LaurentChain((gens[i], e) for i, bits in col.items()
+                        for e in Poly(bits).exponents())
 
 
 def _negative_shift(red: Reduction, col: dict[int, int],

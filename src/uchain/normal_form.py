@@ -19,11 +19,12 @@ the smallest valid key is the smallest over the live entries: the
 tie-break, and with it every pivot and logged operation, is that of a
 full scan.
 
-Beyond the multiset invariants the reduction keeps the change of basis:
-every elementary operation is logged and the basis matrices Q (new basis
-in old coordinates, columnwise) and Q^-1 are replayed on demand -- either
-exactly, or as sparse power-series prefixes modulo U^cap with
-cap = max exponent + 1, which is all the homology layer consumes.
+The reduction also logs the change of basis: op (i, j, c) means
+g_i <- g_i + c g_j, i.e. Q <- Q E and Q^-1 <- E Q^-1 with the involution
+E = I + c e_{ji}, Q holding the new basis in old coordinates.  One replay
+gives Q columns and Q^-1 rows as sparse {index: coefficient} dicts with
+zeros absent: exactly, as power series modulo U^cap (cap = max exponent
++ 1, all the homology layer reads), or for ``random_basis_change``'s log.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .complexes import (ChainMap, GradedComplex, _accumulate, _mat_mul,
                         build_chain_map, build_complex, identity_map)
 from .errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
-from .scalars import (LS0, LS1, P0, P1, LocalScalar, Poly, _pdivmod, _pgcd,
+from .scalars import (LS0, LS1, P1, LocalScalar, Poly, _pdivmod, _pgcd,
                       _pmul, _val)
 
 __all__ = [
@@ -106,9 +107,9 @@ class Reduction:
         self.cancelled_pairs: int = cancelled
         self.ops: tuple[tuple[int, int, LocalScalar], ...] = tuple(ops)
         self.cap: int = max((r.exponent for r in self.two_steps), default=0) + 1
-        self._series: dict[int, tuple[list[dict[int, int]],
-                                      list[dict[int, int]]]] = {}
-        self._exact: tuple[list[list[LocalScalar]], list[list[LocalScalar]]] | None = None
+        self._series: tuple[list[dict[int, int]], list[dict[int, int]]] | None = None
+        self._exact: tuple[list[dict[int, LocalScalar]],
+                           list[dict[int, LocalScalar]]] | None = None
         # flat torsion coordinate layout: one bit per (summand, power)
         self.offsets: list[int] = []
         total = 0
@@ -123,49 +124,50 @@ class Reduction:
                           tuple((r.grading_a, r.exponent) for r in self.two_steps))
 
     # -- basis-change replay ------------------------------------------------
-    #
-    # Every op (i, j, c) means g_i <- g_i + c g_j, i.e. Q <- Q E and
-    # Q^-1 <- E Q^-1 with E = I + c e_{ji} (E is an involution in
-    # characteristic 2).
 
-    def series_transform(self, order: int | None = None,
-                         ) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-        """(Q columns, Q^-1 rows) as sparse power-series bit masks modulo
-        U^order.
+    def series_transform(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        """(Q columns, Q^-1 rows) replayed from ``ops`` as power-series bit
+        masks modulo U^cap, which covers every coordinate read against the
+        torsion summands.
 
         ``q_cols[j]`` maps row i to the series of Q[i][j] and
         ``qinv_rows[i]`` maps column j to the series of Q^-1[i][j]; zero
         entries are absent, so an op costs the nonzeros of the vector it
-        adds, not the rank.  ``order`` defaults to cap, which covers every
-        coordinate read against the torsion summands.
+        adds, not the rank.
         """
-        if order is None:
-            order = self.cap
-        if order not in self._series:
-            mask = (1 << order) - 1
-            q = [{j: 1} for j in range(self.complex.rank)]
-            qi = [{i: 1} for i in range(self.complex.rank)]
-            for i, j, c in self.ops:
-                cb = c.series(order)
-                if cb:
-                    _series_addmul(q[i], q[j], cb, mask)
-                    _series_addmul(qi[j], qi[i], cb, mask)
-            self._series[order] = (q, qi)
-        return self._series[order]
+        if self._series is None:
+            cap = self.cap
+            self._series = _replay(
+                self.complex.rank,
+                ((i, j, c.series(cap)) for i, j, c in self.ops), 1,
+                partial(_series_addmul, mask=(1 << cap) - 1))
+        return self._series
 
-    def exact_transform(self) -> tuple[list[list[LocalScalar]], list[list[LocalScalar]]]:
-        """(Q, Q^-1) as dense LocalScalar matrices, indexed [row][col]."""
+    def exact_transform(self) -> tuple[list[dict[int, LocalScalar]],
+                                       list[dict[int, LocalScalar]]]:
+        """(Q columns, Q^-1 rows) replayed from ``ops`` with exact
+        LocalScalar entries, in the sparse layout of ``series_transform``."""
         if self._exact is None:
-            n = self.complex.rank
-            q = [[LS1 if i == j else LS0 for j in range(n)] for i in range(n)]
-            qi = [[LS1 if i == j else LS0 for j in range(n)] for i in range(n)]
-            for i, j, c in self.ops:
-                for r in range(n):
-                    q[r][i] = q[r][i] + c * q[r][j]
-                for col in range(n):
-                    qi[j][col] = qi[j][col] + c * qi[i][col]
-            self._exact = (q, qi)
+            self._exact = _replay(self.complex.rank, self.ops, LS1, _addmul)
         return self._exact
+
+
+def _replay(n: int, ops, one, addmul) -> tuple[list[dict], list[dict]]:
+    """(Q columns, Q^-1 rows) of an op log on n generators, starting from
+    ``one`` on the diagonal; ``addmul(dst, src, c)`` adds c * src to a
+    sparse vector.  Ops with c = 0 are skipped."""
+    q = [{j: one} for j in range(n)]
+    qi = [{i: one} for i in range(n)]
+    for i, j, c in ops:
+        if c:
+            addmul(q[i], q[j], c)
+            addmul(qi[j], qi[i], c)
+    return q, qi
+
+
+def _addmul(dst: dict, src: dict, c) -> None:
+    """dst += c * src on sparse vectors of Poly or LocalScalar entries."""
+    _accumulate(((k, c * v) for k, v in src.items()), dst)
 
 
 def _series_addmul(dst: dict[int, int], src: dict[int, int], cb: int,
@@ -177,6 +179,15 @@ def _series_addmul(dst: dict[int, int], src: dict[int, int], cb: int,
             dst[k] = v
         else:
             dst.pop(k, None)
+
+
+def _clear_denominators(coeffs: dict) -> dict:
+    """LocalScalar values times the lcm of their denominators (a unit),
+    as polynomial bits."""
+    den = 1
+    for c in coeffs.values():
+        den = _pmul(den, _pdivmod(c.den, _pgcd(den, c.den))[0])
+    return {k: _pmul(c.num, _pdivmod(den, c.den)[0]) for k, c in coeffs.items()}
 
 
 def reduce_complex(cx: GradedComplex) -> Reduction:
@@ -297,48 +308,39 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
     """Apply ``steps`` random elementary basis changes g_i <- g_i + p(U) g_j
     between same-grading generators; deterministic in (seed, steps).
 
-    With ``with_iso`` also returns the isomorphism (new -> old) and its
-    inverse, both degree-0 chain maps with polynomial entries.
+    The steps form an op log with the meaning of ``Reduction.ops``; its
+    replay gives Q columns and Q^-1 rows, and the new differential is
+    Q^-1 d Q.  With ``with_iso`` also returns the isomorphism Q (new ->
+    old) and its inverse, both degree-0 chain maps with polynomial
+    entries.
     """
     rng = random.Random(seed)
-    gens = list(cx.generators)
-    n = len(gens)
+    gens = cx.generators
     by_grading: dict[int, list[int]] = {}
     for i, g in enumerate(gens):
         by_grading.setdefault(cx.gradings[g], []).append(i)
     groups = [v for v in by_grading.values() if len(v) >= 2]
 
-    d = dict(cx.d)
-    q = [[P1 if i == j else P0 for j in range(n)] for i in range(n)]
-    qi = [[P1 if i == j else P0 for j in range(n)] for i in range(n)]
-
+    ops: list[tuple[int, int, Poly]] = []
     if groups:
         for _ in range(steps):
-            group = rng.choice(groups)
-            i, j = rng.sample(group, 2)
-            p = Poly(rng.getrandbits(3) or 1)
-            gi, gj = gens[i], gens[j]
-            # g_i <- g_i + p g_j: column i of d gains p * column j,
-            # row j gains p * row i
-            _accumulate([((t, gi), p * v) for (t, s), v in d.items()
-                         if s == gj], d)
-            _accumulate([((gj, s), p * v) for (t, s), v in d.items()
-                         if t == gi], d)
-            for r in range(n):
-                q[r][i] = q[r][i] + p * q[r][j]
-            for c2 in range(n):
-                qi[j][c2] = qi[j][c2] + p * qi[i][c2]
+            i, j = rng.sample(rng.choice(groups), 2)
+            ops.append((i, j, Poly(rng.getrandbits(3) or 1)))
+    q, qi = _replay(len(gens), ops, P1, _addmul)
+    q_entries = {(gens[i], gens[j]): p for j, col in enumerate(q)
+                 for i, p in col.items()}
+    qi_entries = {(gens[i], gens[j]): p for i, row in enumerate(qi)
+                  for j, p in row.items()}
+    d = _mat_mul(_mat_mul(qi_entries, cx.d), q_entries)
 
     out = build_complex(cx.name, [(g, cx.gradings[g]) for g in gens],
                         [(s, t, p) for (t, s), p in d.items()])
     if not with_iso:
         return out
     iso = build_chain_map("basis", out, cx, 0,
-                          [(gens[j], gens[i], q[i][j])
-                           for i in range(n) for j in range(n) if q[i][j]])
+                          [(s, t, p) for (t, s), p in q_entries.items()])
     iso_inv = build_chain_map("basis_inv", cx, out, 0,
-                              [(gens[j], gens[i], qi[i][j])
-                               for i in range(n) for j in range(n) if qi[i][j]])
+                              [(s, t, p) for (t, s), p in qi_entries.items()])
     return out, iso, iso_inv
 
 
@@ -357,7 +359,6 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
         return identity_map(cx)
 
     red = reduce_complex(cx)
-    n = cx.rank
     gens = cx.generators
 
     # S written on the final (reduced) generator coordinates
@@ -387,18 +388,11 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
     q, qi = red.exact_transform()
     terms: list[tuple[tuple[int, int], LocalScalar]] = []
     for (t, s), c in _accumulate(s_nf).items():
-        for i in range(n):
-            if q[i][t]:
-                left = q[i][t] * c
-                terms += [((i, j), left * qi[s][j]) for j in range(n) if qi[s][j]]
-    s_orig = _accumulate(terms)
-
-    den = 1
-    for c in s_orig.values():
-        den = _pmul(den, _pdivmod(c.den, _pgcd(den, c.den))[0])
-
-    scaled = [((gens[i], gens[j]), Poly(_pmul(c.num, _pdivmod(den, c.den)[0])))
-              for (i, j), c in s_orig.items()]
+        for i, qv in q[t].items():
+            left = qv * c
+            terms += [((i, j), left * v) for j, v in qi[s].items()]
+    scaled = [((gens[i], gens[j]), Poly(bits)) for (i, j), bits
+              in _clear_denominators(_accumulate(terms)).items()]
 
     h: dict[tuple[str, str], Poly] = {}
     for u in gens:

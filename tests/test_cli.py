@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uchain.cli import main
+from uchain.cli import build_parser, main
 from uchain.complexes import (
     ChainMap,
     GradedComplex,
@@ -185,6 +185,24 @@ def test_pairing_check_on_a_torsion_complex(workdir, capsys):
     assert code == 0
     assert out == ('{"dimension":3,"invertible":true,"matrix_rank":3,'
                    '"trace_cotrace_ok":true}\n')
+
+
+def test_pairing_check_reduces_the_input_once(workdir, capsys, monkeypatch):
+    import uchain.cli
+    import uchain.homology
+    from uchain.normal_form import reduce_complex
+
+    reduced = []
+
+    def counting(cx):
+        reduced.append(cx.name)
+        return reduce_complex(cx)
+
+    monkeypatch.setattr(uchain.cli, "reduce_complex", counting)
+    monkeypatch.setattr(uchain.homology, "reduce_complex", counting)
+    code, _ = _run(capsys, ["pairing-check", str(workdir / "two3.cx")])
+    assert code == 0
+    assert reduced.count("two") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +376,15 @@ def test_unknown_flavor_is_rejected_by_the_parser(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["homology", str(workdir / "two3.cx"), "--flavor", "sideways"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_and_still_reports_usage(workdir, capsys):
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["homology", str(workdir / "two3.cx"), "--flavor", "sideways"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: uchain homology")
 
 
 # ---------------------------------------------------------------------------

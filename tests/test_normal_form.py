@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uchain.complexes import (GradedComplex, build_complex, compose, dual,
-                               identity_map, tensor)
+from uchain.complexes import (GradedComplex, _accumulate, build_complex,
+                               compose, dual, identity_map, tensor)
 from uchain.errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
 from uchain.normal_form import (
     NormalForm,
@@ -309,17 +309,24 @@ def test_pivot_heap_matches_the_full_scan(seed, unit_pair, pairing):
 # the reduction's recorded basis change
 
 
+def _dense(cols_or_rows, n: int, by_column: bool) -> list[list]:
+    """[row][col] matrix of Q columns (``by_column``) or Q^-1 rows."""
+    if by_column:
+        return [[cols_or_rows[c].get(r, LS0) for c in range(n)] for r in range(n)]
+    return [[cols_or_rows[r].get(c, LS0) for c in range(n)] for r in range(n)]
+
+
 def test_exact_transform_matrices_are_mutually_inverse():
     for seed in range(10):
         _, cx = _random_pair(seed)
         red = reduce_complex(cx)
-        q, qi = red.exact_transform()
+        q_cols, qinv_rows = red.exact_transform()
         n = cx.rank
         for i in range(n):
             for j in range(n):
                 acc = LS0
                 for k in range(n):
-                    acc = acc + q[i][k] * qi[k][j]
+                    acc = acc + q_cols[k].get(i, LS0) * qinv_rows[k].get(j, LS0)
                 assert acc == (LS1 if i == j else LS0)
 
 
@@ -332,14 +339,13 @@ def test_series_transform_agrees_with_exact_transform():
         inputs.append(tensor(unit, dual(unit)))
     for cx in inputs:
         red = reduce_complex(cx)
-        order = red.cap + 3
-        q_cols, qinv_rows = red.series_transform(order)
+        q_cols, qinv_rows = red.series_transform()
         q, qi = red.exact_transform()
         n = cx.rank
         for i in range(n):
             for j in range(n):
-                assert q_cols[j].get(i, 0) == q[i][j].series(order)
-                assert qinv_rows[i].get(j, 0) == qi[i][j].series(order)
+                assert q_cols[j].get(i, 0) == q[j].get(i, LS0).series(red.cap)
+                assert qinv_rows[i].get(j, 0) == qi[i].get(j, LS0).series(red.cap)
         # the sparse layout stores no zero series
         assert all(b for vec in q_cols + qinv_rows for b in vec.values())
 
@@ -350,8 +356,10 @@ def test_reduction_diagonalizes_the_differential():
     for seed in range(10):
         _, cx = _random_pair(seed)
         red = reduce_complex(cx)
-        q, qi = red.exact_transform()
         n = cx.rank
+        q_cols, qinv_rows = red.exact_transform()
+        q = _dense(q_cols, n, by_column=True)
+        qi = _dense(qinv_rows, n, by_column=False)
         d = [[LocalScalar(cx.entry(cx.generators[r], cx.generators[c]))
               for c in range(n)] for r in range(n)]
 
@@ -364,6 +372,117 @@ def test_reduction_diagonalizes_the_differential():
         for rec in red.two_steps:
             expected[rec.b][rec.a] = LocalScalar(Poly.u(rec.exponent)) * rec.unit
         assert new_d == expected
+
+
+# ---------------------------------------------------------------------------
+# the sparse replay against the dense step-by-step code it replaced
+
+
+def _dense_exact_replay(red) -> tuple[list[list], list[list]]:
+    """Reference: Q and Q^-1 as dense [row][col] LocalScalar matrices, each
+    op (i, j, c) applied to every row of column i and every column of
+    row j."""
+    n = red.complex.rank
+    q = [[LS1 if i == j else LS0 for j in range(n)] for i in range(n)]
+    qi = [[LS1 if i == j else LS0 for j in range(n)] for i in range(n)]
+    for i, j, c in red.ops:
+        for r in range(n):
+            q[r][i] = q[r][i] + c * q[r][j]
+        for col in range(n):
+            qi[j][col] = qi[j][col] + c * qi[i][col]
+    return q, qi
+
+
+def _stepwise_basis_change(cx: GradedComplex, seed: int, steps: int):
+    """Reference: random_basis_change's steps applied one at a time to d
+    (column i gains p * column j, row j gains p * row i) and to dense
+    polynomial Q and Q^-1.  Returns (d, q, qi), d keyed like cx.d."""
+    rng = random.Random(seed)
+    gens = list(cx.generators)
+    n = len(gens)
+    by_grading: dict[int, list[int]] = {}
+    for i, g in enumerate(gens):
+        by_grading.setdefault(cx.gradings[g], []).append(i)
+    groups = [v for v in by_grading.values() if len(v) >= 2]
+    d = dict(cx.d)
+    q = [[Poly(int(i == j)) for j in range(n)] for i in range(n)]
+    qi = [[Poly(int(i == j)) for j in range(n)] for i in range(n)]
+    if groups:
+        for _ in range(steps):
+            group = rng.choice(groups)
+            i, j = rng.sample(group, 2)
+            p = Poly(rng.getrandbits(3) or 1)
+            gi, gj = gens[i], gens[j]
+            _accumulate([((t, gi), p * v) for (t, s), v in d.items()
+                         if s == gj], d)
+            _accumulate([((gj, s), p * v) for (t, s), v in d.items()
+                         if t == gi], d)
+            for r in range(n):
+                q[r][i] = q[r][i] + p * q[r][j]
+            for c2 in range(n):
+                qi[j][c2] = qi[j][c2] + p * qi[i][c2]
+    return d, q, qi
+
+
+def _replay_inputs(seed: int) -> list[GradedComplex]:
+    """A scrambled complex, a pairing complex and one with a unit pair."""
+    small = _random_pair(seed, max_rank=4, max_exponent=3)[1]
+    return [_random_pair(seed, max_rank=8)[1], tensor(small, dual(small)),
+            _with_unit_pair(seed)]
+
+
+def _assert_exact_replay_matches_dense(cx: GradedComplex) -> None:
+    red = reduce_complex(cx)
+    q_cols, qinv_rows = red.exact_transform()
+    q, qi = _dense_exact_replay(red)
+    n = cx.rank
+    assert _dense(q_cols, n, by_column=True) == q
+    assert _dense(qinv_rows, n, by_column=False) == qi
+    assert all(v for vec in q_cols + qinv_rows for v in vec.values())
+
+
+def _assert_basis_change_matches_stepwise(cx: GradedComplex, seed: int,
+                                          steps: int) -> None:
+    out, iso, iso_inv = random_basis_change(cx, seed=seed, steps=steps,
+                                            with_iso=True)
+    d, q, qi = _stepwise_basis_change(cx, seed, steps)
+    gens = cx.generators
+    n = cx.rank
+    assert out.d == d
+    assert random_basis_change(cx, seed=seed, steps=steps) == out
+    assert iso.entries == {(gens[i], gens[j]): q[i][j] for i in range(n)
+                           for j in range(n) if q[i][j]}
+    assert iso_inv.entries == {(gens[i], gens[j]): qi[i][j] for i in range(n)
+                               for j in range(n) if qi[i][j]}
+    assert all(iso.entries.values()) and all(iso_inv.entries.values())
+
+
+def test_exact_replay_matches_the_dense_reference_on_seeded_complexes():
+    for seed in range(8):
+        for cx in _replay_inputs(seed):
+            _assert_exact_replay_matches_dense(cx)
+
+
+def test_basis_change_matches_the_stepwise_reference_on_seeded_complexes():
+    for seed in range(8):
+        for cx in _replay_inputs(seed):
+            _assert_basis_change_matches_stepwise(cx, seed + 50, 4 + seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       kind=st.sampled_from([0, 1, 2]))
+def test_exact_replay_matches_the_dense_reference(seed, kind):
+    _assert_exact_replay_matches_dense(_replay_inputs(seed)[kind])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       kind=st.sampled_from([0, 1, 2]),
+       steps=st.integers(min_value=0, max_value=25))
+def test_basis_change_matches_the_stepwise_reference(seed, kind, steps):
+    _assert_basis_change_matches_stepwise(_replay_inputs(seed)[kind],
+                                          seed + 1, steps)
 
 
 # ---------------------------------------------------------------------------
