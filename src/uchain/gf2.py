@@ -1,11 +1,19 @@
-"""Linear algebra over GF(2) on int bit masks (bit i = coordinate i)."""
+"""Linear algebra over GF(2) on int bit masks (bit i = coordinate i).
+
+Windowed homology (``homology._Window``) runs ``eliminate`` once per
+grading: the kernel combinations give that grading's cycles, the echelon
+rows span the boundaries of the grading below.  ``Quotient`` keeps the
+cycles whose top bit is not a boundary pivot as representatives and reads
+a class off one reduction against both sets of rows, so the Lefschetz
+oracle walks its classes as masks from end to end.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Span", "rank", "solve", "kernel_combos", "QuotientBasis",
-           "set_bits", "scatter"]
+__all__ = ["Span", "rank", "solve", "eliminate", "Quotient", "set_bits",
+           "scatter"]
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -84,51 +92,55 @@ def solve(vectors: List[int], target: int) -> Optional[int]:
     return span.express(target)
 
 
-def kernel_combos(vectors: List[int]) -> List[int]:
-    """Basis of combinations of ``vectors`` that XOR to zero."""
+def eliminate(vectors: List[int]) -> Tuple[List[int], Dict[int, int]]:
+    """One Gaussian elimination of ``vectors``, in order: a basis of the
+    combinations that XOR to zero, and the echelon rows of the span,
+    keyed by their top bit.
+
+    Combination k has bit k as its top bit, since it is vector k's own tag
+    plus the combinations of rows stored before it.
+    """
     span = Span()
-    out = []
+    kernel = []
     for v in vectors:
         tag = 1 << span.count
         span.count += 1
         res, combo = span.reduce(v, tag)
         if res == 0:
-            out.append(combo)
+            kernel.append(combo)
         else:
             span._rows[res.bit_length() - 1] = (res, combo)
-    return out
+    return kernel, {top: res for top, (res, _) in span._rows.items()}
 
 
-class QuotientBasis:
-    """Quotient Z/B of two spans, with class coordinates.
+class Quotient:
+    """Quotient Z/B of cycles by boundaries, with class coordinates.
 
-    Representatives are chosen greedily from ``cycles``; they are
-    independent modulo ``boundaries``, so class coordinates are unique.
+    ``boundary_rows`` are the echelon rows of B keyed by top bit, and
+    ``reps`` cycles of distinct top bits, none a boundary pivot, that span
+    Z together with B; then ``reps`` is a basis of Z/B.  Such reps are the
+    pairing of persistence reduction: given a basis of Z of distinct top
+    bits (``eliminate``'s kernel, scattered in ascending order), every
+    vector of Z has its top bit among theirs, so each boundary pivot is
+    one of them, and the basis vectors whose top bit is not a boundary
+    pivot, with the boundary rows, are dim Z vectors of distinct top bits.
+    A greedy pass adding that basis in order to the span of B keeps
+    exactly these.
     """
 
-    def __init__(self, cycles: Iterable[int], boundaries: Iterable[int]):
+    def __init__(self, reps: List[int], boundary_rows: Dict[int, int]):
+        self.reps = reps
+        # boundary rows carry no combination, representative k carries bit k
         self._span = Span()
-        for b in boundaries:
-            self._span.add(b)
-        # Only vectors that enlarge the span enter a stored combination, so
-        # above the boundary tags a combination holds representative tags.
-        self._first_cycle_tag = self._span.count
-        self.reps: list[int] = []
-        self._rep_of_tag: list[int] = []  # -1: the cycle added nothing
-        for z in cycles:
-            if self._span.add(z):
-                self._rep_of_tag.append(len(self.reps))
-                self.reps.append(z)
-            else:
-                self._rep_of_tag.append(-1)
+        self._span._rows = {top: (b, 0) for top, b in boundary_rows.items()}
+        for k, z in enumerate(reps):
+            self._span._rows[z.bit_length() - 1] = (z, 1 << k)
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
     def coords(self, vec: int) -> Optional[int]:
-        """Class of ``vec`` as a bit mask over ``reps``, or None."""
-        combo = self._span.express(vec)
-        if combo is None:
-            return None
-        return scatter(combo >> self._first_cycle_tag, self._rep_of_tag)
+        """Class of ``vec`` as a bit mask over ``reps``, or None if ``vec``
+        is not a cycle."""
+        return self._span.express(vec)

@@ -29,8 +29,7 @@ from .complexes import (ChainMap, GradedComplex, LaurentChain, _dual_id,
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, NotACycle, NotACycleInPlus, NotInImage,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
-from .gf2 import (QuotientBasis, kernel_combos, rank, scatter, set_bits,
-                  solve)
+from .gf2 import Quotient, eliminate, rank, scatter, set_bits, solve
 from .normal_form import Reduction, _clear_denominators, reduce_complex
 from .scalars import Poly, _pmul
 
@@ -321,6 +320,14 @@ class _Window:
 
     Bit j * (hi - lo) + (e - lo) of a mask is U^e times generator j, so
     each generator owns one block of hi - lo bits.
+
+    Each grading is eliminated once: its boundary masks give the kernel
+    combinations that are the cycles of that grading, and the echelon rows
+    that span the boundaries of the grading below.  A kernel combination's
+    top bit is its own column and the columns ascend, so the cycles have
+    distinct top bits; ``homology`` keeps those whose top bit is not a
+    boundary pivot as representatives (see ``gf2.Quotient``), which are
+    the ones a greedy quotient would keep, in the same order.
     """
 
     def __init__(self, cx: GradedComplex, lo: int, hi: int):
@@ -328,14 +335,18 @@ class _Window:
         self.width = hi - lo
         self._gens = cx.generators
         self._index = cx.index()
-        # column of each source generator: (target block start, entry bits)
-        self._cols = {s: [(self._index[t] * self.width, p.bits) for t, p in col]
-                      for s, col in cx._cols.items()}
+        self._cols = self.block_columns(cx._cols)
         self._blocks: dict[int, list[int]] = {}
         for j, g in enumerate(self._gens):
             self._blocks.setdefault(cx.gradings[g], []).append(j * self.width)
-        self._masks: dict[int, list[int]] = {}
-        self._homology: dict[int, QuotientBasis] = {}
+        self._eliminated: dict[int, tuple[list[int], dict[int, int]]] = {}
+        self._homology: dict[int, Quotient] = {}
+
+    def block_columns(self, cols: dict[str, list]) -> dict[str, list]:
+        """A column view (source -> [(target, Poly)]) with each target
+        replaced by the start of its block: (block start, entry bits)."""
+        return {s: [(self._index[t] * self.width, p.bits) for t, p in col]
+                for s, col in cols.items()}
 
     def mask_of(self, chain: LaurentChain) -> int:
         m = 0
@@ -360,27 +371,59 @@ class _Window:
             m ^= ((bits << shift) & inside) << start
         return m
 
+    def map_mask(self, cols: dict[str, list], mask: int) -> int:
+        """A map given by ``block_columns`` applied to a mask, cut to the
+        window: each generator's block is shifted by the exponents of the
+        entry bits, the way ``boundary_mask`` applies d to one bit."""
+        inside = (1 << self.width) - 1
+        m = 0
+        for j, g in enumerate(self._gens):
+            block = mask >> (j * self.width) & inside
+            if block:
+                for start, bits in cols.get(g, ()):
+                    for k in set_bits(bits):
+                        m ^= ((block << k) & inside) << start
+        return m
+
+    def lift(self, src: "_Window", mask: int) -> int:
+        """A mask of window ``src`` as a mask of this window: each
+        generator's block moves over whole, and exponents outside this
+        window fall out."""
+        inside = (1 << self.width) - 1
+        src_inside = (1 << src.width) - 1
+        shift = src.lo - self.lo
+        m = 0
+        for j in range(len(self._gens)):
+            block = mask >> (j * src.width) & src_inside
+            if block:
+                block = block << shift if shift >= 0 else block >> -shift
+                m |= (block & inside) << (j * self.width)
+        return m
+
     def columns(self, grading: int) -> list[int]:
         """Bit positions of the basis elements in ``grading``."""
         return [i for start in self._blocks.get(grading, ())
                 for i in range(start, start + self.width)]
 
-    def _boundary_masks(self, grading: int) -> list[int]:
-        """Boundary masks of ``columns(grading)``, in that order; built once,
-        as kernel input of this grading and boundary span of the next one
-        down."""
-        if grading not in self._masks:
-            self._masks[grading] = [self.boundary_mask(i)
-                                    for i in self.columns(grading)]
-        return self._masks[grading]
+    def _eliminate(self, grading: int) -> tuple[list[int], dict[int, int]]:
+        """Kernel combinations of the boundary masks of ``grading``, over
+        ``columns(grading)``, and the echelon rows of the boundaries it
+        sends to the grading below."""
+        if grading not in self._eliminated:
+            self._eliminated[grading] = eliminate(
+                [self.boundary_mask(i) for i in self.columns(grading)])
+        return self._eliminated[grading]
 
-    def homology(self, grading: int) -> QuotientBasis:
+    def homology(self, grading: int) -> Quotient:
+        """Homology at ``grading``; kernel combination k has top bit k, so
+        its cycle's top bit is column k, read off before scattering."""
         if grading not in self._homology:
             cols = self.columns(grading)
-            cycles = [scatter(combo, cols)
-                      for combo in kernel_combos(self._boundary_masks(grading))]
-            bnd = [b for b in self._boundary_masks(grading + 1) if b]
-            self._homology[grading] = QuotientBasis(cycles, bnd)
+            kernel = self._eliminate(grading)[0]
+            boundary_rows = self._eliminate(grading + 1)[1]
+            reps = [scatter(c, cols) for c in kernel
+                    if cols[c.bit_length() - 1] not in boundary_rows]
+            self._homology[grading] = Quotient(reps, boundary_rows)
         return self._homology[grading]
 
 

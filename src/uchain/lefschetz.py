@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .complexes import (ChainMap, GradedComplex, LaurentChain, _chain_map,
+from .complexes import (ChainMap, GradedComplex, _chain_map,
                         _dual_id, _mat_mul, _pair_id, complex_to_text, dual,
                         identity_map, map_to_text, tensor, unit_complex)
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
@@ -140,25 +140,30 @@ def _stable_traces(cx: GradedComplex, f: ChainMap, small: int,
     inclusion into a window deeper by the maximal exponent kills.  The
     image of H(small window) in H(big window) is exactly the true
     homology, is preserved by f, and the trace is read off there.
+
+    Classes stay masks throughout: a small-window representative moves
+    into the big window block by block, and f acts on the big window's
+    mask by shifting each block by its entries' exponents.
     """
     ws = _Window(cx, -small, 0)
     wb = _Window(cx, -big, 0)
+    f_cols = wb.block_columns(f._cols)
     out: dict[int, int] = {}
     for g in sorted(set(cx.gradings.values())):
         hb = wb.homology(g)
-        stable: list[tuple[int, LaurentChain]] = []
+        stable: list[tuple[int, int]] = []
         span = Span()
         for v in ws.homology(g).reps:
-            chain = ws.chain_of(v)
-            c = hb.coords(wb.mask_of(chain))
+            lifted = wb.lift(ws, v)
+            c = hb.coords(lifted)
             if c is None:
                 raise CrossCheckMismatch("windowed class escaped the larger window")
             tag = span.count  # express() combos index the add order
             if span.add(c):
-                stable.append((tag, chain))
+                stable.append((tag, lifted))
         trace = 0
-        for tag, chain in stable:
-            fc = hb.coords(wb.mask_of(f.apply_chain(chain)))
+        for tag, lifted in stable:
+            fc = hb.coords(wb.map_mask(f_cols, lifted))
             combo = None if fc is None else span.express(fc)
             if combo is None:
                 raise CrossCheckMismatch("induced map left the stable subspace")

@@ -1,0 +1,78 @@
+"""Reference F2 quotient for the tests: kernel combinations and a greedy
+quotient, as the library computed windowed homology before it read the
+representatives off one elimination per grading.
+
+The test-local homology models (``_QuotientSlice``, ``_PlusSlice``,
+``_f2_homology``) build on these, so they stay independent of
+``uchain.gf2.eliminate`` and ``uchain.gf2.Quotient``, which the window
+path uses.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional
+
+from uchain.gf2 import Span, scatter
+
+
+def kernel_combos(vectors: list[int]) -> list[int]:
+    """Basis of combinations of ``vectors`` that XOR to zero."""
+    span = Span()
+    out = []
+    for v in vectors:
+        tag = 1 << span.count
+        span.count += 1
+        res, combo = span.reduce(v, tag)
+        if res == 0:
+            out.append(combo)
+        else:
+            span._rows[res.bit_length() - 1] = (res, combo)
+    return out
+
+
+class QuotientBasis:
+    """Quotient Z/B of two spans, with class coordinates.
+
+    Representatives are chosen greedily from ``cycles``; they are
+    independent modulo ``boundaries``, so class coordinates are unique.
+    """
+
+    def __init__(self, cycles: Iterable[int], boundaries: Iterable[int]):
+        self._span = Span()
+        for b in boundaries:
+            self._span.add(b)
+        # Only vectors that enlarge the span enter a stored combination, so
+        # above the boundary tags a combination holds representative tags.
+        self._first_cycle_tag = self._span.count
+        self.reps: list[int] = []
+        self._rep_of_tag: list[int] = []  # -1: the cycle added nothing
+        for z in cycles:
+            if self._span.add(z):
+                self._rep_of_tag.append(len(self.reps))
+                self.reps.append(z)
+            else:
+                self._rep_of_tag.append(-1)
+
+    @property
+    def dim(self) -> int:
+        return len(self.reps)
+
+    def coords(self, vec: int) -> Optional[int]:
+        """Class of ``vec`` as a bit mask over ``reps``, or None."""
+        combo = self._span.express(vec)
+        if combo is None:
+            return None
+        return scatter(combo >> self._first_cycle_tag, self._rep_of_tag)
+
+
+def greedy_window_homology(window, grading: int) -> QuotientBasis:
+    """Homology of one grading of a ``homology._Window`` the way the window
+    computed it before: the kernel of the grading's boundary masks, then a
+    greedy quotient by the boundary masks of the grading above, echelonned
+    afresh."""
+    def masks(k: int) -> list[int]:
+        return [window.boundary_mask(i) for i in window.columns(k)]
+
+    cols = window.columns(grading)
+    cycles = [scatter(c, cols) for c in kernel_combos(masks(grading))]
+    return QuotientBasis(cycles, [b for b in masks(grading + 1) if b])

@@ -22,7 +22,7 @@ from uchain.complexes import (
     scalar_map,
     tensor,
 )
-from uchain.gf2 import QuotientBasis, kernel_combos, rank
+from uchain.gf2 import rank
 from uchain.homology import (
     delta,
     delta_inverse,
@@ -48,6 +48,8 @@ from uchain.normal_form import (
     realize,
 )
 from uchain.scalars import Poly
+
+from f2_reference import QuotientBasis, kernel_combos
 
 CAMPAIGN_SEED = 20260814
 

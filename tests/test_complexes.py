@@ -39,7 +39,7 @@ from uchain.errors import (
     NotAChainMap,
     ParseError,
 )
-from uchain.gf2 import QuotientBasis, kernel_combos, rank
+from uchain.gf2 import rank
 from uchain.normal_form import (
     classify,
     random_basis_change,
@@ -48,6 +48,8 @@ from uchain.normal_form import (
     realize,
 )
 from uchain.scalars import P0, P1, Poly
+
+from f2_reference import QuotientBasis, kernel_combos
 
 
 def _two_step(n: int) -> GradedComplex:

@@ -5,8 +5,10 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uchain.gf2 import (QuotientBasis, Span, kernel_combos, rank, scatter,
-                        set_bits, solve)
+from uchain.gf2 import (Quotient, Span, eliminate, rank, scatter, set_bits,
+                        solve)
+
+from f2_reference import QuotientBasis, kernel_combos
 
 vectors = st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
                    min_size=0, max_size=12)
@@ -62,9 +64,10 @@ def test_solve_detects_unsolvable_targets():
 
 def test_kernel_of_dependent_family():
     vecs = [0b011, 0b101, 0b110]
-    combos = kernel_combos(vecs)
+    combos, rows = eliminate(vecs)
     assert len(combos) == 1
     assert _combo(vecs, combos[0]) == 0
+    assert rows == {1: 0b011, 2: 0b101}
 
 
 @given(vecs=vectors, target_mask=st.integers(min_value=0, max_value=(1 << 12) - 1))
@@ -77,11 +80,25 @@ def test_solve_inverts_any_reachable_target(vecs: list[int], target_mask: int):
 
 @given(vecs=vectors)
 def test_kernel_combos_all_vanish_and_count_the_nullity(vecs: list[int]):
-    combos = kernel_combos(vecs)
+    combos, rows = eliminate(vecs)
     assert all(_combo(vecs, m) == 0 for m in combos)
     assert all(m for m in combos)
     assert len(combos) == len(vecs) - rank(vecs)
     assert rank(combos) == len(combos)
+    # the rows are an echelon basis of the span, keyed by top bit
+    assert all(v.bit_length() - 1 == top for top, v in rows.items())
+    assert len(rows) == rank(vecs) == rank(vecs + list(rows.values()))
+
+
+@given(vecs=vectors)
+def test_eliminate_gives_the_reference_kernel_in_order(vecs: list[int]):
+    combos, _ = eliminate(vecs)
+    assert combos == kernel_combos(vecs)
+    # combination k's top bit is its own vector's tag, so the tops ascend
+    tops = [m.bit_length() - 1 for m in combos]
+    assert tops == sorted(set(tops))
+    assert all(vecs[t] == _combo(vecs, m & ~(1 << t))
+               for t, m in zip(tops, combos))
 
 
 @given(vecs=vectors)
@@ -106,6 +123,27 @@ def test_quotient_coords_are_linear():
     a, b = q.coords(0b011), q.coords(0b101)
     assert a is not None and b is not None
     assert q.coords(0b011 ^ 0b101) == a ^ b
+
+
+@given(vecs=vectors, below=vectors, queries=vectors,
+       masks=st.lists(st.integers(min_value=0, max_value=(1 << 24) - 1),
+                      max_size=8))
+def test_quotient_matches_the_greedy_reference(
+        vecs: list[int], below: list[int], queries: list[int],
+        masks: list[int]):
+    # Z: the kernel of vecs, as combinations (unit masks for a basis);
+    # B: the part of it that the images of ``below`` inside Z reach
+    combos, _ = eliminate(vecs)
+    boundaries = [_combo(combos, m) for m in below]
+    rows = eliminate(boundaries)[1]
+    # the pairing: the kernel vectors whose top bit no boundary row has
+    new = Quotient([z for z in combos if z.bit_length() - 1 not in rows], rows)
+    ref = QuotientBasis(combos, boundaries)
+    assert new.reps == ref.reps
+    assert new.dim == ref.dim == len(combos) - rank(boundaries)
+    pool = boundaries + combos
+    for v in queries + [_combo(pool, m) for m in masks]:
+        assert new.coords(v) == ref.coords(v)
 
 
 # ---------------------------------------------------------------------------

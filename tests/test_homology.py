@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uchain.complexes import (
     GradedComplex,
@@ -28,7 +30,7 @@ from uchain.errors import (
     ParameterOutOfRange,
     RankTooLarge,
 )
-from uchain.gf2 import QuotientBasis, Span, kernel_combos, rank
+from uchain.gf2 import Span, rank, scatter
 from uchain.homology import (
     _Window,
     chain_to_json,
@@ -46,10 +48,13 @@ from uchain.normal_form import (
     NormalForm,
     classify,
     random_basis_change,
+    random_chain_map,
     random_normal_form,
     realize,
 )
 from uchain.scalars import Poly
+
+from f2_reference import QuotientBasis, greedy_window_homology, kernel_combos
 
 
 def _two_step(n: int, top: str = "a", bottom: str = "b") -> GradedComplex:
@@ -486,6 +491,122 @@ def test_window_layout_and_boundaries_match_the_term_by_term_reference():
             outside = LaurentChain.of((cx.generators[0], lo - 1),
                                       (cx.generators[-1], hi), ("nowhere", lo))
             assert w.mask_of(outside) == 0
+
+
+# ---------------------------------------------------------------------------
+# window homology against the greedy reference
+
+_WINDOWS = [(-7, 0), (0, 5), (-3, 4)]
+
+
+def _paired_complex(seed: int, one_steps: bool) -> GradedComplex:
+    """Two generators in every grading: two 2-steps from one grading, and
+    with ``one_steps`` two free generators in one grading, scrambled."""
+    rng = random.Random(seed)
+    g = rng.randint(-2, 2)
+    twos = ((g, rng.randint(1, 4)), (g, rng.randint(1, 4)))
+    ones = (g - 2, g - 2) if one_steps else ()
+    return random_basis_change(realize(NormalForm(ones, twos)), seed=seed + 1,
+                               steps=rng.randint(4, 16))
+
+
+def _window_inputs(seed: int, one_steps: bool) -> list[GradedComplex]:
+    rng = random.Random(seed)
+    scrambled = random_basis_change(
+        realize(random_normal_form(rng, max_rank=7, max_exponent=4,
+                                   one_steps=one_steps)),
+        seed=seed + 1, steps=rng.randint(0, 15))
+    return [scrambled, _paired_complex(seed, one_steps)]
+
+
+def _xor_of(pool: list[int], rng: random.Random) -> int:
+    acc = 0
+    for v in pool:
+        if rng.random() < 0.5:
+            acc ^= v
+    return acc
+
+
+def _assert_window_homology_matches_greedy(cx: GradedComplex,
+                                           rng: random.Random) -> None:
+    gradings = set(cx.gradings.values())
+    for lo, hi in _WINDOWS:
+        w = _Window(cx, lo, hi)
+        for g in range(min(gradings) - 1, max(gradings) + 2):
+            h, ref = w.homology(g), greedy_window_homology(w, g)
+            assert h.reps == ref.reps
+            assert h.dim == ref.dim
+            cycles = [scatter(c, w.columns(g)) for c in w._eliminate(g)[0]]
+            boundaries = [w.boundary_mask(i) for i in w.columns(g + 1)]
+            for _ in range(8):
+                v = _xor_of(boundaries + cycles, rng)
+                assert h.coords(v) is not None
+                assert h.coords(v) == ref.coords(v)
+            for i in w.columns(g):
+                if w.boundary_mask(i):  # not a cycle, nor with a cycle added
+                    v = (1 << i) ^ _xor_of(cycles, rng)
+                    assert h.coords(v) is None and ref.coords(v) is None
+
+
+def test_window_homology_matches_the_greedy_reference():
+    for seed in range(12):
+        rng = random.Random(seed)
+        for one_steps in (False, True):
+            for cx in _window_inputs(seed, one_steps):
+                _assert_window_homology_matches_greedy(cx, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), one_steps=st.booleans())
+def test_window_homology_matches_the_greedy_reference_under_hypothesis(
+        seed: int, one_steps: bool):
+    rng = random.Random(seed)
+    for cx in _window_inputs(seed, one_steps):
+        _assert_window_homology_matches_greedy(cx, rng)
+
+
+def _assert_masks_match_the_chain_round_trip(cx: GradedComplex,
+                                             rng: random.Random) -> None:
+    f = random_chain_map(cx, rng.getrandbits(32))
+    windows = [_Window(cx, lo, hi) for lo, hi in _WINDOWS]
+    for src in windows:
+        f_cols = src.block_columns(f._cols)
+        masks = [rng.getrandbits(src.width * cx.rank) for _ in range(4)]
+        masks += [v for g in set(cx.gradings.values())
+                  for v in src.homology(g).reps]
+        for m in masks:
+            chain = src.chain_of(m)
+            assert src.map_mask(f_cols, m) == src.mask_of(f.apply_chain(chain))
+            assert (src.map_mask(src._cols, m)
+                    == src.mask_of(cx.boundary_chain(chain)))
+            for dst in windows:  # exponents outside dst fall out
+                assert dst.lift(src, m) == dst.mask_of(chain)
+    # the oracle's pair: a window inside a deeper one with the same top
+    ws, wb = _Window(cx, -3, 0), _Window(cx, -7, 0)
+    f_cols = wb.block_columns(f._cols)
+    for g in set(cx.gradings.values()):
+        for v in ws.homology(g).reps + [rng.getrandbits(3 * cx.rank)]:
+            chain = ws.chain_of(v)
+            assert wb.lift(ws, v) == wb.mask_of(chain)
+            assert (wb.map_mask(f_cols, wb.lift(ws, v))
+                    == wb.mask_of(f.apply_chain(chain)))
+
+
+def test_window_lift_and_map_match_the_chain_round_trip():
+    for seed in range(12):
+        rng = random.Random(seed)
+        for one_steps in (False, True):
+            for cx in _window_inputs(seed, one_steps):
+                _assert_masks_match_the_chain_round_trip(cx, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), one_steps=st.booleans())
+def test_window_lift_and_map_match_the_chain_round_trip_under_hypothesis(
+        seed: int, one_steps: bool):
+    rng = random.Random(seed)
+    for cx in _window_inputs(seed, one_steps):
+        _assert_masks_match_the_chain_round_trip(cx, rng)
 
 
 def test_exactness_check_refuses_large_ranks():

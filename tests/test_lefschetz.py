@@ -25,12 +25,14 @@ from uchain.complexes import (
 )
 from uchain.errors import (
     ComplexMismatch,
+    CrossCheckMismatch,
     DegreeMismatch,
     InfinityNotZero,
     ParameterOutOfRange,
 )
-from uchain.complexes import _dual_id, _mat_mul
-from uchain.gf2 import rank
+from uchain.complexes import _chain_map, _dual_id, _mat_mul
+from uchain.gf2 import Span, rank
+from uchain.homology import _Window
 from uchain import lefschetz
 from uchain.lefschetz import (
     TrialFailure,
@@ -54,7 +56,9 @@ from uchain.normal_form import (
     random_normal_form,
     realize,
 )
-from uchain.scalars import Poly
+from uchain.scalars import P1, Poly
+
+from f2_reference import greedy_window_homology
 
 
 def _two_step(n: int) -> GradedComplex:
@@ -355,6 +359,78 @@ def test_grading_split_of_a_two_step_sits_at_the_top_generator():
     assert split == {0: 0, 1: 1}
 
 
+def _round_trip_stable_traces(cx: GradedComplex, f: ChainMap, small: int,
+                             big: int) -> dict[int, int]:
+    """The oracle's stable traces walked through chains: each class goes
+    to a chain and back into the deeper window, f acts on the chain, and
+    window homology is the greedy reference."""
+    ws, wb = _Window(cx, -small, 0), _Window(cx, -big, 0)
+    out = {}
+    for g in sorted(set(cx.gradings.values())):
+        hb = greedy_window_homology(wb, g)
+        stable = []
+        span = Span()
+        for v in greedy_window_homology(ws, g).reps:
+            chain = ws.chain_of(v)
+            c = hb.coords(wb.mask_of(chain))
+            assert c is not None
+            tag = span.count
+            if span.add(c):
+                stable.append((tag, chain))
+        trace = 0
+        for tag, chain in stable:
+            fc = hb.coords(wb.mask_of(f.apply_chain(chain)))
+            combo = None if fc is None else span.express(fc)
+            assert combo is not None
+            trace ^= combo >> tag & 1
+        out[g] = trace
+    return out
+
+
+def _paired_torsion_complex(seed: int) -> GradedComplex:
+    """Two 2-steps from one grading, so each grading holds two generators."""
+    rng = random.Random(seed)
+    g = rng.randint(-2, 2)
+    nf = NormalForm((), ((g, rng.randint(1, 5)), (g, rng.randint(1, 5))))
+    return random_basis_change(realize(nf), seed=seed + 1,
+                               steps=rng.randint(4, 16))
+
+
+def _assert_stable_traces_match_the_round_trip(cx: GradedComplex,
+                                               f: ChainMap) -> None:
+    n_max = classify(cx).max_exponent
+    small = n_max + 1
+    for depth in (small, 2 * small):
+        assert (lefschetz._stable_traces(cx, f, depth, depth + n_max)
+                == _round_trip_stable_traces(cx, f, depth, depth + n_max))
+
+
+def test_stable_traces_match_the_chain_round_trip():
+    for seed in range(20):
+        for cx in (_torsion_complex(seed), _paired_torsion_complex(seed)):
+            _assert_stable_traces_match_the_round_trip(
+                cx, random_chain_map(cx, seed=seed + 11))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_stable_traces_match_the_chain_round_trip_under_hypothesis(seed: int):
+    for cx in (_torsion_complex(seed), _paired_torsion_complex(seed)):
+        _assert_stable_traces_match_the_round_trip(
+            cx, random_chain_map(cx, seed=seed + 11))
+
+
+def test_oracle_catches_a_map_that_leaves_the_stable_subspace():
+    # a1 -> a2 is no chain map: U^-2 a1 is a class of the plus flavor, but
+    # U^-2 a2 has boundary U^-1 b2 and is no cycle there
+    cx = build_complex("pair", [("a1", 1), ("b1", 0), ("a2", 1), ("b2", 0)],
+                       [("a1", "b1", Poly.u(2)), ("a2", "b2", Poly.u(1))])
+    f = _chain_map("shift", cx, cx, 0, [(("a2", "a1"), P1)])
+    with pytest.raises(CrossCheckMismatch,
+                       match="induced map left the stable subspace"):
+        lefschetz_by_grading(cx, f)
+
+
 def test_quantity_equals_oracle_on_seeded_trials():
     for seed in range(60):
         cx = _torsion_complex(seed, max_rank=6, max_exponent=5)
@@ -371,7 +447,7 @@ class _QuotientSlice:
     oracle, independent of the library's internal windows)."""
 
     def __init__(self, cx: GradedComplex, width: int, grading: int):
-        from uchain.gf2 import QuotientBasis, kernel_combos
+        from f2_reference import QuotientBasis, kernel_combos
 
         def slice_at(k: int) -> list[tuple[str, int]]:
             return [(g, e) for e in range(-width, 0)
