@@ -22,8 +22,8 @@ from .errors import InfinityNotZero, ParseError, UChainError
 from .gf2 import rank
 from .homology import (_h_plus, f2_pairing, h_infinity, h_minus, h_plus,
                        h_red, mapping_torus_betti)
-from .lefschetz import (cotrace_map, delta_quantity, lefschetz_by_grading,
-                        trace_map, verify_proposition)
+from .lefschetz import (_trace_maps, delta_quantity, lefschetz_by_grading,
+                        verify_proposition)
 from .normal_form import reduce_complex
 
 _FLAVORS = {
@@ -163,8 +163,8 @@ def _cmd_pairing_check(args) -> tuple[dict, int]:
     dim = plus.f2_dimension
     invertible = matrix_rank == dim == red_minus.f2_dimension
     pcx = _positional(cx)[0]
-    traced = trace_map(pcx).apply_chain(
-        cotrace_map(pcx).apply_chain(LaurentChain.of(("1", 0))))
+    tr, cotr = _trace_maps(pcx)
+    traced = tr.apply_chain(cotr.apply_chain(LaurentChain.of(("1", 0))))
     trace_ok = traced.coefficient("1", 0) == cx.rank % 2 and \
         len(traced.terms) <= 1
     payload = {"dimension": dim, "matrix_rank": matrix_rank,

@@ -2,10 +2,14 @@
 
 Windowed homology (``homology._Window``) runs ``eliminate`` once per
 grading: the kernel combinations give that grading's cycles, the echelon
-rows span the boundaries of the grading below.  ``Quotient`` keeps the
-cycles whose top bit is not a boundary pivot as representatives and reads
-a class off one reduction against both sets of rows, so the Lefschetz
-oracle walks its classes as masks from end to end.
+rows span the boundaries of the grading below.  Rows are never changed
+once stored, so eliminating a prefix of the vectors gives the kernel
+combinations below the prefix length and the rows inserted while the
+prefix was processed; a window reads every shallower window off these
+prefixes.  ``Quotient`` keeps the cycles whose top bit is not a boundary
+pivot as representatives and reads a class off one reduction against both
+sets of rows, so the Lefschetz oracle walks its classes as masks from end
+to end.
 """
 
 from __future__ import annotations
@@ -95,10 +99,13 @@ def solve(vectors: List[int], target: int) -> Optional[int]:
 def eliminate(vectors: List[int]) -> Tuple[List[int], Dict[int, int]]:
     """One Gaussian elimination of ``vectors``, in order: a basis of the
     combinations that XOR to zero, and the echelon rows of the span,
-    keyed by their top bit.
+    keyed by their top bit in the order they were stored.
 
     Combination k has bit k as its top bit, since it is vector k's own tag
-    plus the combinations of rows stored before it.
+    plus the combinations of rows stored before it.  Each vector adds a
+    combination or a row, and rows never change once stored, so
+    eliminating ``vectors[:n]`` alone gives the combinations of top bit
+    below n and the first n - (their number) rows.
     """
     span = Span()
     kernel = []

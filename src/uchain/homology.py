@@ -21,8 +21,10 @@ because truncation at exponent 0 is the quotient map.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .complexes import (ChainMap, GradedComplex, LaurentChain, _dual_id,
                         _positional, cone, identity_map, map_add)
@@ -318,123 +320,130 @@ def _delta_inverse(red: Reduction, chain: LaurentChain) -> LaurentChain:
 class _Window:
     """F2 model of the U-exponent window [lo, hi) of the U-inverted complex.
 
-    Bit j * (hi - lo) + (e - lo) of a mask is U^e times generator j, so
-    each generator owns one block of hi - lo bits.
+    Bit (hi - 1 - e) * m + j of a mask is U^e times generator j, with m the
+    rank: exponents count down from the top of the window, one row of m
+    bits each, so the window [hi - w, hi) is the low w * m bits.  d and
+    chain maps only raise exponents, so a term moves to a lower row or
+    falls off below bit 0 past the top of the window, and the boundary
+    masks of the shallower window are the same integers.
 
-    Each grading is eliminated once: its boundary masks give the kernel
-    combinations that are the cycles of that grading, and the echelon rows
-    that span the boundaries of the grading below.  A kernel combination's
-    top bit is its own column and the columns ascend, so the cycles have
-    distinct top bits; ``homology`` keeps those whose top bit is not a
-    boundary pivot as representatives (see ``gf2.Quotient``), which are
-    the ones a greedy quotient would keep, in the same order.
+    Each grading is eliminated once, at full depth: its boundary masks
+    give the kernel combinations that are the cycles of that grading, and
+    the echelon rows that span the boundaries of the grading below.  In
+    ascending bit order the columns of the window of width w are a prefix
+    of each grading's columns, so its cycles and boundary rows are
+    prefixes of these (see ``gf2.eliminate``), and ``homology(g, w)``
+    reads them off.  A kernel combination's top bit is its own column and
+    the columns ascend, so the cycles have distinct top bits; ``homology``
+    keeps those whose top bit is not a boundary pivot as representatives
+    (see ``gf2.Quotient``), which are the ones a greedy quotient would
+    keep, in the same order.
     """
 
     def __init__(self, cx: GradedComplex, lo: int, hi: int):
-        self.lo = lo
+        self.lo, self.hi = lo, hi
         self.width = hi - lo
+        self.rank = cx.rank
         self._gens = cx.generators
         self._index = cx.index()
-        self._cols = self.block_columns(cx._cols)
-        self._blocks: dict[int, list[int]] = {}
+        self._d = self.shifts(cx._cols)
+        # d of generator j as one mask: the term of shift s at bit s + top
+        self._templates = []
+        for sh in self._d:
+            top = max((-s for s in sh), default=0)
+            self._templates.append((sum(1 << (s + top) for s in sh), top))
+        ones = (1 << self.width * self.rank) - 1
+        ones //= (1 << self.rank) - 1 or 1    # bit 0 of every row
+        self._stripes = [ones << j for j in range(self.rank)]
+        self._by_grading: dict[int, list[int]] = {}
         for j, g in enumerate(self._gens):
-            self._blocks.setdefault(cx.gradings[g], []).append(j * self.width)
+            self._by_grading.setdefault(cx.gradings[g], []).append(j)
+        self.gradings = sorted(self._by_grading)
         self._eliminated: dict[int, tuple[list[int], dict[int, int]]] = {}
-        self._homology: dict[int, Quotient] = {}
 
-    def block_columns(self, cols: dict[str, list]) -> dict[str, list]:
-        """A column view (source -> [(target, Poly)]) with each target
-        replaced by the start of its block: (block start, entry bits)."""
-        return {s: [(self._index[t] * self.width, p.bits) for t, p in col]
-                for s, col in cols.items()}
+    def shifts(self, cols: dict[str, list]) -> list[list[int]]:
+        """A column view (source -> [(target, Poly)]) as, per source j, the
+        shift of bit position that carries U^e g_j to each term of its
+        image: U^k g_t is a shift by t - j - k * rank."""
+        return [[self._index[t] - j - k * self.rank
+                 for t, p in cols.get(g, ()) for k in set_bits(p.bits)]
+                for j, g in enumerate(self._gens)]
 
     def mask_of(self, chain: LaurentChain) -> int:
         m = 0
         for g, e in chain.terms:
             j = self._index.get(g)
-            if j is not None and 0 <= e - self.lo < self.width:
-                m |= 1 << (j * self.width + e - self.lo)
+            if j is not None and self.lo <= e < self.hi:
+                m |= 1 << ((self.hi - 1 - e) * self.rank + j)
         return m
 
     def chain_of(self, mask: int) -> LaurentChain:
-        return LaurentChain((self._gens[i // self.width], self.lo + i % self.width)
+        return LaurentChain((self._gens[i % self.rank], self.hi - 1 - i // self.rank)
                             for i in set_bits(mask))
 
     def boundary_mask(self, i: int) -> int:
-        """Boundary of basis element i, cut to the window: the entry bits
-        shift up by i's place in its block, and those past the block's
-        top fall out."""
-        j, shift = divmod(i, self.width)
-        inside = (1 << self.width) - 1
-        m = 0
-        for start, bits in self._cols.get(self._gens[j], ()):
-            m ^= ((bits << shift) & inside) << start
-        return m
+        """Boundary of basis element i, cut to the window: its generator's
+        template shifted into place, terms past the top falling off."""
+        template, top = self._templates[i % self.rank]
+        return template << (i - top) if i >= top else template >> (top - i)
 
-    def map_mask(self, cols: dict[str, list], mask: int) -> int:
-        """A map given by ``block_columns`` applied to a mask, cut to the
-        window: each generator's block is shifted by the exponents of the
-        entry bits, the way ``boundary_mask`` applies d to one bit."""
-        inside = (1 << self.width) - 1
+    def map_mask(self, shifts: list[list[int]], mask: int) -> int:
+        """A map given by ``shifts`` applied to a mask, cut to the window:
+        each generator's bits, one per row, move by each of its shifts."""
         m = 0
-        for j, g in enumerate(self._gens):
-            block = mask >> (j * self.width) & inside
-            if block:
-                for start, bits in cols.get(g, ()):
-                    for k in set_bits(bits):
-                        m ^= ((block << k) & inside) << start
+        for stripe, sh in zip(self._stripes, shifts):
+            part = mask & stripe
+            if part:
+                for s in sh:
+                    m ^= part << s if s >= 0 else part >> -s
         return m
 
     def lift(self, src: "_Window", mask: int) -> int:
-        """A mask of window ``src`` as a mask of this window: each
-        generator's block moves over whole, and exponents outside this
-        window fall out."""
-        inside = (1 << self.width) - 1
-        src_inside = (1 << src.width) - 1
-        shift = src.lo - self.lo
-        m = 0
-        for j in range(len(self._gens)):
-            block = mask >> (j * src.width) & src_inside
-            if block:
-                block = block << shift if shift >= 0 else block >> -shift
-                m |= (block & inside) << (j * self.width)
-        return m
+        """A mask of window ``src`` as a mask of this window: one shift by
+        the distance between the tops, then exponents below this window
+        fall out."""
+        shift = (self.hi - src.hi) * self.rank
+        mask = mask << shift if shift >= 0 else mask >> -shift
+        return mask & ((1 << self.width * self.rank) - 1)
 
     def columns(self, grading: int) -> list[int]:
-        """Bit positions of the basis elements in ``grading``."""
-        return [i for start in self._blocks.get(grading, ())
-                for i in range(start, start + self.width)]
+        """Bit positions of the basis elements in ``grading``, ascending."""
+        gens = self._by_grading.get(grading, ())
+        return [r * self.rank + j for r in range(self.width) for j in gens]
 
     def _eliminate(self, grading: int) -> tuple[list[int], dict[int, int]]:
-        """Kernel combinations of the boundary masks of ``grading``, over
-        ``columns(grading)``, and the echelon rows of the boundaries it
-        sends to the grading below."""
+        """Cycles of ``grading`` (its kernel combinations scattered over
+        ``columns(grading)``, ascending) and the echelon rows of the
+        boundaries it sends to the grading below, in insertion order."""
         if grading not in self._eliminated:
-            self._eliminated[grading] = eliminate(
-                [self.boundary_mask(i) for i in self.columns(grading)])
+            cols = self.columns(grading)
+            kernel, rows = eliminate([self.boundary_mask(i) for i in cols])
+            self._eliminated[grading] = ([scatter(c, cols) for c in kernel], rows)
         return self._eliminated[grading]
 
-    def homology(self, grading: int) -> Quotient:
-        """Homology at ``grading``; kernel combination k has top bit k, so
-        its cycle's top bit is column k, read off before scattering."""
-        if grading not in self._homology:
-            cols = self.columns(grading)
-            kernel = self._eliminate(grading)[0]
-            boundary_rows = self._eliminate(grading + 1)[1]
-            reps = [scatter(c, cols) for c in kernel
-                    if cols[c.bit_length() - 1] not in boundary_rows]
-            self._homology[grading] = Quotient(reps, boundary_rows)
-        return self._homology[grading]
+    def homology(self, grading: int, width: int | None = None) -> Quotient:
+        """Homology at ``grading`` of the window [hi - width, hi), all of
+        this one by default: the cycles below bit width * rank, and the
+        rows inserted by the first width * (generators in grading + 1)
+        columns of the grading above, which are those columns less the
+        cycles among them."""
+        width = self.width if width is None else width
+        top = 1 << width * self.rank
+        cycles = self._eliminate(grading)[0]
+        above, rows = self._eliminate(grading + 1)
+        kept = (width * len(self._by_grading.get(grading + 1, ()))
+                - bisect_left(above, top))
+        boundary_rows = dict(islice(rows.items(), kept))
+        reps = [z for z in cycles[:bisect_left(cycles, top)]
+                if z.bit_length() - 1 not in boundary_rows]
+        return Quotient(reps, boundary_rows)
 
 
-def _induced(src: _Window, grading: int, apply, dst: _Window,
-             dst_grading: int) -> list[int]:
+def _induced(src: Quotient, apply, dst: Quotient) -> list[int]:
     """Columns of the induced map on windowed homology, as coordinate masks."""
     out = []
-    hd = dst.homology(dst_grading)
-    for v in src.homology(grading).reps:
-        img = apply(src.chain_of(v))
-        c = hd.coords(dst.mask_of(img))
+    for v in src.reps:
+        c = dst.coords(apply(v))
         if c is None:
             raise CrossCheckMismatch("induced image left the homology of the window")
         out.append(c)
@@ -459,26 +468,28 @@ def _les_at_window(cx: GradedComplex, width: int) -> dict:
     wm = _Window(cx, 0, width)
     wi = _Window(cx, -width, width)
     wp = _Window(cx, -width, 0)
-    gradings = sorted(set(cx.gradings.values()))
+    gradings = wm.gradings
+    hm = {g: wm.homology(g) for g in set(gradings) | {g - 1 for g in gradings}}
+    hi = {g: wi.homology(g) for g in gradings}
+    hp = {g: wp.homology(g) for g in gradings}
 
-    def apply_delta(chain: LaurentChain) -> LaurentChain:
-        bd = cx.boundary_chain(chain)
-        if bd.negative_part():
+    def connect(v: int) -> int:
+        bd = wi.map_mask(wi._d, wi.lift(wp, v))
+        if bd >> width * cx.rank:   # the rows of negative exponents
             raise CrossCheckMismatch("windowed connecting map left the subcomplex")
-        return bd
+        return wm.lift(wi, bd)
 
-    iota = {g: _induced(wm, g, lambda c: c, wi, g) for g in gradings}
-    proj = {g: _induced(wi, g, lambda c: c.negative_part(), wp, g)
-            for g in gradings}
-    conn = {g: _induced(wp, g, apply_delta, wm, g - 1) for g in gradings}
+    iota = {g: _induced(hm[g], lambda v: wi.lift(wm, v), hi[g]) for g in gradings}
+    proj = {g: _induced(hi[g], lambda v: wp.lift(wi, v), hp[g]) for g in gradings}
+    conn = {g: _induced(hp[g], connect, hm[g - 1]) for g in gradings}
 
     joints: dict[int, dict] = {}
     exact = True
     for g in gradings:
         report = {
-            "minus": _exact_at(conn.get(g + 1, []), iota[g], wm.homology(g).dim),
-            "infinity": _exact_at(iota[g], proj[g], wi.homology(g).dim),
-            "plus": _exact_at(proj[g], conn[g], wp.homology(g).dim),
+            "minus": _exact_at(conn.get(g + 1, []), iota[g], hm[g].dim),
+            "infinity": _exact_at(iota[g], proj[g], hi[g].dim),
+            "plus": _exact_at(proj[g], conn[g], hp[g].dim),
         }
         joints[g] = report
         exact = exact and all(j["exact"] for j in report.values())

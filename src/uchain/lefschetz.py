@@ -68,16 +68,22 @@ def phi_dual(cx: GradedComplex) -> ChainMap:
 def trace_map(cx: GradedComplex) -> ChainMap:
     """Evaluation map from tensor(C, dual(C)) to the one-generator complex:
     g tensor g-dual goes to 1, mixed pairs to 0."""
-    src = tensor(cx, dual(cx))
-    entries = [(("1", _pair_id(g, _dual_id(g))), P1) for g in cx.generators]
-    return _chain_map(f"tr({cx.name})", src, unit_complex(), 0, entries)
+    return _trace_maps(cx)[0]
 
 
 def cotrace_map(cx: GradedComplex) -> ChainMap:
     """The other direction: 1 goes to the sum of g tensor g-dual."""
-    tgt = tensor(cx, dual(cx))
-    entries = [((_pair_id(g, _dual_id(g)), "1"), P1) for g in cx.generators]
-    return _chain_map(f"cotr({cx.name})", unit_complex(), tgt, 0, entries)
+    return _trace_maps(cx)[1]
+
+
+def _trace_maps(cx: GradedComplex) -> tuple[ChainMap, ChainMap]:
+    """Trace and cotrace on one build of tensor(C, dual(C))."""
+    pair, unit = tensor(cx, dual(cx)), unit_complex()
+    diagonal = [_pair_id(g, _dual_id(g)) for g in cx.generators]
+    return (_chain_map(f"tr({cx.name})", pair, unit, 0,
+                       [(("1", s), P1) for s in diagonal]),
+            _chain_map(f"cotr({cx.name})", unit, pair, 0,
+                       [((s, "1"), P1) for s in diagonal]))
 
 
 def _check_endomorphism(cx: GradedComplex, f: ChainMap) -> None:
@@ -131,7 +137,7 @@ def delta_quantity(cx: GradedComplex, f: ChainMap, *,
 # the direct oracle
 
 
-def _stable_traces(cx: GradedComplex, f: ChainMap, small: int,
+def _stable_traces(window: _Window, f_shifts: list[list[int]], small: int,
                    big: int) -> dict[int, int]:
     """Per-grading trace of f on the stable part of windowed plus-homology.
 
@@ -141,29 +147,26 @@ def _stable_traces(cx: GradedComplex, f: ChainMap, small: int,
     image of H(small window) in H(big window) is exactly the true
     homology, is preserved by f, and the trace is read off there.
 
-    Classes stay masks throughout: a small-window representative moves
-    into the big window block by block, and f acts on the big window's
-    mask by shifting each block by its entries' exponents.
+    Both windows are the prefixes of widths ``small`` and ``big`` of one
+    ``window`` with top 0, so a small-window class is a big-window mask as
+    it stands, and f (given by ``window.shifts``) acts on it by shifting
+    each generator's bits by its entries' exponents.
     """
-    ws = _Window(cx, -small, 0)
-    wb = _Window(cx, -big, 0)
-    f_cols = wb.block_columns(f._cols)
     out: dict[int, int] = {}
-    for g in sorted(set(cx.gradings.values())):
-        hb = wb.homology(g)
+    for g in window.gradings:
+        hb = window.homology(g, big)
         stable: list[tuple[int, int]] = []
         span = Span()
-        for v in ws.homology(g).reps:
-            lifted = wb.lift(ws, v)
-            c = hb.coords(lifted)
+        for v in window.homology(g, small).reps:
+            c = hb.coords(v)
             if c is None:
                 raise CrossCheckMismatch("windowed class escaped the larger window")
             tag = span.count  # express() combos index the add order
             if span.add(c):
-                stable.append((tag, lifted))
+                stable.append((tag, v))
         trace = 0
-        for tag, lifted in stable:
-            fc = hb.coords(wb.map_mask(f_cols, lifted))
+        for tag, v in stable:
+            fc = hb.coords(window.map_mask(f_shifts, v))
             combo = None if fc is None else span.express(fc)
             if combo is None:
                 raise CrossCheckMismatch("induced map left the stable subspace")
@@ -174,7 +177,9 @@ def _stable_traces(cx: GradedComplex, f: ChainMap, small: int,
 
 def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
     """Per-grading traces of the induced map on the plus-flavor homology,
-    computed on truncation windows and stability-checked at double width."""
+    computed on truncation windows and stability-checked at double width.
+    All four windows are prefixes of the deepest, which is eliminated
+    once per grading."""
     _check_endomorphism(cx, f)
     red = reduce_complex(cx)
     if red.one_steps:
@@ -183,8 +188,10 @@ def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
             "infinite dimensional")
     n_max = red.normal_form.max_exponent
     small = n_max + 1
-    first = _stable_traces(cx, f, small, small + n_max)
-    second = _stable_traces(cx, f, 2 * small, 2 * small + n_max)
+    window = _Window(cx, -(2 * small + n_max), 0)
+    f_shifts = window.shifts(f._cols)
+    first = _stable_traces(window, f_shifts, small, small + n_max)
+    second = _stable_traces(window, f_shifts, 2 * small, 2 * small + n_max)
     if first != second:
         raise CrossCheckMismatch(
             f"doubling the window moved the trace: {first} vs {second}")

@@ -30,7 +30,7 @@ from uchain.errors import (
     ParameterOutOfRange,
     RankTooLarge,
 )
-from uchain.gf2 import Span, rank, scatter
+from uchain.gf2 import Span, rank
 from uchain.homology import (
     _Window,
     chain_to_json,
@@ -467,14 +467,15 @@ def test_exactness_on_random_complexes():
 
 
 def test_window_layout_and_boundaries_match_the_term_by_term_reference():
-    # the window's basis as a list, generator by generator; the boundary of
-    # U^e g is added one differential term at a time, each kept where it
-    # lands inside the window
+    # the window's basis as a list, exponent by exponent from the top, each
+    # exponent's generators in order; the boundary of U^e g is added one
+    # differential term at a time, each kept where it lands inside the window
     for seed in range(10):
         cx = _mixed_complex(seed)
         for lo, hi in [(-7, 0), (0, 5), (-3, 4)]:
             w = _Window(cx, lo, hi)
-            basis = [(g, e) for g in cx.generators for e in range(lo, hi)]
+            basis = [(g, e) for e in reversed(range(lo, hi))
+                     for g in cx.generators]
             for i, (g, e) in enumerate(basis):
                 assert w.chain_of(1 << i) == LaurentChain.of((g, e))
                 assert w.mask_of(LaurentChain.of((g, e))) == 1 << i
@@ -527,25 +528,31 @@ def _xor_of(pool: list[int], rng: random.Random) -> int:
     return acc
 
 
+def _assert_quotient_matches_greedy(h, w: _Window, g: int,
+                                    rng: random.Random) -> None:
+    """``h`` against the greedy homology of window ``w`` at grading g."""
+    ref = greedy_window_homology(w, g)
+    assert h.reps == ref.reps
+    assert h.dim == ref.dim
+    cycles = w._eliminate(g)[0]
+    boundaries = [w.boundary_mask(i) for i in w.columns(g + 1)]
+    for _ in range(8):
+        v = _xor_of(boundaries + cycles, rng)
+        assert h.coords(v) is not None
+        assert h.coords(v) == ref.coords(v)
+    for i in w.columns(g):
+        if w.boundary_mask(i):  # not a cycle, nor with a cycle added
+            v = (1 << i) ^ _xor_of(cycles, rng)
+            assert h.coords(v) is None and ref.coords(v) is None
+
+
 def _assert_window_homology_matches_greedy(cx: GradedComplex,
                                            rng: random.Random) -> None:
     gradings = set(cx.gradings.values())
     for lo, hi in _WINDOWS:
         w = _Window(cx, lo, hi)
         for g in range(min(gradings) - 1, max(gradings) + 2):
-            h, ref = w.homology(g), greedy_window_homology(w, g)
-            assert h.reps == ref.reps
-            assert h.dim == ref.dim
-            cycles = [scatter(c, w.columns(g)) for c in w._eliminate(g)[0]]
-            boundaries = [w.boundary_mask(i) for i in w.columns(g + 1)]
-            for _ in range(8):
-                v = _xor_of(boundaries + cycles, rng)
-                assert h.coords(v) is not None
-                assert h.coords(v) == ref.coords(v)
-            for i in w.columns(g):
-                if w.boundary_mask(i):  # not a cycle, nor with a cycle added
-                    v = (1 << i) ^ _xor_of(cycles, rng)
-                    assert h.coords(v) is None and ref.coords(v) is None
+            _assert_quotient_matches_greedy(w.homology(g), w, g, rng)
 
 
 def test_window_homology_matches_the_greedy_reference():
@@ -565,30 +572,64 @@ def test_window_homology_matches_the_greedy_reference_under_hypothesis(
         _assert_window_homology_matches_greedy(cx, rng)
 
 
+def _assert_prefixes_match_standalone_windows(cx: GradedComplex,
+                                              rng: random.Random) -> None:
+    # the oracle's window of depth 2 * small + n and the widths it reads
+    # (small, small + n, 2 * small, 2 * small + n), with small = n + 1 for
+    # the largest exponent n; every other width of the deep window too
+    n = classify(cx).max_exponent
+    depth = 3 * n + 2
+    gradings = set(cx.gradings.values())
+    for hi in (0, 4):
+        deep = _Window(cx, hi - depth, hi)
+        for width in range(1, depth + 1):
+            w = _Window(cx, hi - width, hi)
+            for g in range(min(gradings) - 1, max(gradings) + 2):
+                _assert_quotient_matches_greedy(deep.homology(g, width), w, g,
+                                                rng)
+
+
+def test_every_prefix_of_a_deep_window_matches_a_standalone_window():
+    for seed in range(6):
+        rng = random.Random(seed)
+        for one_steps in (False, True):
+            for cx in _window_inputs(seed, one_steps):
+                _assert_prefixes_match_standalone_windows(cx, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), one_steps=st.booleans())
+def test_every_prefix_of_a_deep_window_matches_under_hypothesis(
+        seed: int, one_steps: bool):
+    rng = random.Random(seed)
+    for cx in _window_inputs(seed, one_steps):
+        _assert_prefixes_match_standalone_windows(cx, rng)
+
+
 def _assert_masks_match_the_chain_round_trip(cx: GradedComplex,
                                              rng: random.Random) -> None:
     f = random_chain_map(cx, rng.getrandbits(32))
     windows = [_Window(cx, lo, hi) for lo, hi in _WINDOWS]
     for src in windows:
-        f_cols = src.block_columns(f._cols)
+        f_shifts = src.shifts(f._cols)
         masks = [rng.getrandbits(src.width * cx.rank) for _ in range(4)]
         masks += [v for g in set(cx.gradings.values())
                   for v in src.homology(g).reps]
         for m in masks:
             chain = src.chain_of(m)
-            assert src.map_mask(f_cols, m) == src.mask_of(f.apply_chain(chain))
-            assert (src.map_mask(src._cols, m)
+            assert src.map_mask(f_shifts, m) == src.mask_of(f.apply_chain(chain))
+            assert (src.map_mask(src._d, m)
                     == src.mask_of(cx.boundary_chain(chain)))
             for dst in windows:  # exponents outside dst fall out
                 assert dst.lift(src, m) == dst.mask_of(chain)
     # the oracle's pair: a window inside a deeper one with the same top
     ws, wb = _Window(cx, -3, 0), _Window(cx, -7, 0)
-    f_cols = wb.block_columns(f._cols)
+    f_shifts = wb.shifts(f._cols)
     for g in set(cx.gradings.values()):
         for v in ws.homology(g).reps + [rng.getrandbits(3 * cx.rank)]:
             chain = ws.chain_of(v)
             assert wb.lift(ws, v) == wb.mask_of(chain)
-            assert (wb.map_mask(f_cols, wb.lift(ws, v))
+            assert (wb.map_mask(f_shifts, wb.lift(ws, v))
                     == wb.mask_of(f.apply_chain(chain)))
 
 

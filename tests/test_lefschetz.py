@@ -400,8 +400,10 @@ def _assert_stable_traces_match_the_round_trip(cx: GradedComplex,
                                                f: ChainMap) -> None:
     n_max = classify(cx).max_exponent
     small = n_max + 1
+    window = _Window(cx, -(2 * small + n_max), 0)
+    f_shifts = window.shifts(f._cols)
     for depth in (small, 2 * small):
-        assert (lefschetz._stable_traces(cx, f, depth, depth + n_max)
+        assert (lefschetz._stable_traces(window, f_shifts, depth, depth + n_max)
                 == _round_trip_stable_traces(cx, f, depth, depth + n_max))
 
 
