@@ -186,9 +186,6 @@ class GradedComplex:
     def entry(self, target: str, source: str) -> Poly:
         return self.d.get((target, source), P0)
 
-    def boundary_of(self, source: str) -> dict[str, Poly]:
-        return {t: p for (t, s), p in self.d.items() if s == source}
-
     @cached_property
     def _cols(self) -> dict[str, list]:
         """Column view of ``d``, built once (no reference back to self)."""

@@ -318,13 +318,17 @@ def _delta_inverse(red: Reduction, chain: LaurentChain) -> LaurentChain:
 
 
 class _Window:
-    """F2 model of the U-exponent window [lo, hi) of the U-inverted complex.
+    """F2 model of a truncation window of width w of the U-inverted complex.
 
-    Bit (hi - 1 - e) * m + j of a mask is U^e times generator j, with m the
-    rank: exponents count down from the top of the window, one row of m
-    bits each, so the window [hi - w, hi) is the low w * m bits.  d and
-    chain maps only raise exponents, so a term moves to a lower row or
-    falls off below bit 0 past the top of the window, and the boundary
+    A window keeps the w U-exponents below a top t, the quotient
+    U^(t - w) C / U^t C.  A power of U identifies the windows of one
+    width, so a window is its width: bit r * m + j of a mask is
+    U^(t - 1 - r) times generator j, with m the rank, for whichever top
+    the caller means, and absolute exponents appear only where the tests
+    convert chains to masks.  Exponents count down from the top, one row
+    of m bits each, so a shallower window with the same top is the low
+    bits.  d and chain maps only raise exponents, so a term moves to a
+    lower row or falls off below bit 0 past the top, and the boundary
     masks of the shallower window are the same integers.
 
     Each grading is eliminated once, at full depth: its boundary masks
@@ -340,9 +344,8 @@ class _Window:
     keep, in the same order.
     """
 
-    def __init__(self, cx: GradedComplex, lo: int, hi: int):
-        self.lo, self.hi = lo, hi
-        self.width = hi - lo
+    def __init__(self, cx: GradedComplex, width: int):
+        self.width = width
         self.rank = cx.rank
         self._gens = cx.generators
         self._index = cx.index()
@@ -369,18 +372,6 @@ class _Window:
                  for t, p in cols.get(g, ()) for k in set_bits(p.bits)]
                 for j, g in enumerate(self._gens)]
 
-    def mask_of(self, chain: LaurentChain) -> int:
-        m = 0
-        for g, e in chain.terms:
-            j = self._index.get(g)
-            if j is not None and self.lo <= e < self.hi:
-                m |= 1 << ((self.hi - 1 - e) * self.rank + j)
-        return m
-
-    def chain_of(self, mask: int) -> LaurentChain:
-        return LaurentChain((self._gens[i % self.rank], self.hi - 1 - i // self.rank)
-                            for i in set_bits(mask))
-
     def boundary_mask(self, i: int) -> int:
         """Boundary of basis element i, cut to the window: its generator's
         template shifted into place, terms past the top falling off."""
@@ -398,14 +389,6 @@ class _Window:
                     m ^= part << s if s >= 0 else part >> -s
         return m
 
-    def lift(self, src: "_Window", mask: int) -> int:
-        """A mask of window ``src`` as a mask of this window: one shift by
-        the distance between the tops, then exponents below this window
-        fall out."""
-        shift = (self.hi - src.hi) * self.rank
-        mask = mask << shift if shift >= 0 else mask >> -shift
-        return mask & ((1 << self.width * self.rank) - 1)
-
     def columns(self, grading: int) -> list[int]:
         """Bit positions of the basis elements in ``grading``, ascending."""
         gens = self._by_grading.get(grading, ())
@@ -422,11 +405,11 @@ class _Window:
         return self._eliminated[grading]
 
     def homology(self, grading: int, width: int | None = None) -> Quotient:
-        """Homology at ``grading`` of the window [hi - width, hi), all of
-        this one by default: the cycles below bit width * rank, and the
-        rows inserted by the first width * (generators in grading + 1)
-        columns of the grading above, which are those columns less the
-        cycles among them."""
+        """Homology at ``grading`` of the window of width ``width`` with
+        the same top, all of this one by default: the cycles below bit
+        width * rank, and the rows inserted by the first
+        width * (generators in grading + 1) columns of the grading above,
+        which are those columns less the cycles among them."""
         width = self.width if width is None else width
         top = 1 << width * self.rank
         cycles = self._eliminate(grading)[0]
@@ -464,32 +447,40 @@ def _exact_at(in_cols: list[int], out_cols: list[int], mid_dim: int) -> dict:
             "exact": composite_zero and image == kernel}
 
 
-def _les_at_window(cx: GradedComplex, width: int) -> dict:
-    wm = _Window(cx, 0, width)
-    wi = _Window(cx, -width, width)
-    wp = _Window(cx, -width, 0)
-    gradings = wm.gradings
-    hm = {g: wm.homology(g) for g in set(gradings) | {g - 1 for g in gradings}}
-    hi = {g: wi.homology(g) for g in gradings}
-    hp = {g: wp.homology(g) for g in gradings}
+def _les_at_window(window: _Window, width: int) -> dict:
+    """The sequence on windows of width ``width``, read off ``window``.
+
+    With the top at ``width``, the minus window [0, width) is the low
+    ``width`` rows and [-width, width) the low 2 * width rows.  The plus
+    window [-width, 0) is the minus one translated by U^-width, so both
+    have the ``narrow`` homology.  Inclusion is the identity on masks,
+    projection moves the upper ``width`` rows down onto the plus window,
+    and the connecting map moves a plus class back up, applies d and
+    must land in the low ``width`` rows."""
+    shift = width * window.rank
+    gradings = window.gradings
+    narrow = {g: window.homology(g, width)
+              for g in set(gradings) | {g - 1 for g in gradings}}
+    wide = {g: window.homology(g, 2 * width) for g in gradings}
 
     def connect(v: int) -> int:
-        bd = wi.map_mask(wi._d, wi.lift(wp, v))
-        if bd >> width * cx.rank:   # the rows of negative exponents
+        bd = window.map_mask(window._d, v << shift)
+        if bd >> shift:   # the rows of negative exponents
             raise CrossCheckMismatch("windowed connecting map left the subcomplex")
-        return wm.lift(wi, bd)
+        return bd
 
-    iota = {g: _induced(hm[g], lambda v: wi.lift(wm, v), hi[g]) for g in gradings}
-    proj = {g: _induced(hi[g], lambda v: wp.lift(wi, v), hp[g]) for g in gradings}
-    conn = {g: _induced(hp[g], connect, hm[g - 1]) for g in gradings}
+    iota = {g: _induced(narrow[g], lambda v: v, wide[g]) for g in gradings}
+    proj = {g: _induced(wide[g], lambda v: v >> shift, narrow[g])
+            for g in gradings}
+    conn = {g: _induced(narrow[g], connect, narrow[g - 1]) for g in gradings}
 
     joints: dict[int, dict] = {}
     exact = True
     for g in gradings:
         report = {
-            "minus": _exact_at(conn.get(g + 1, []), iota[g], hm[g].dim),
-            "infinity": _exact_at(iota[g], proj[g], hi[g].dim),
-            "plus": _exact_at(proj[g], conn[g], hp[g].dim),
+            "minus": _exact_at(conn.get(g + 1, []), iota[g], narrow[g].dim),
+            "infinity": _exact_at(iota[g], proj[g], wide[g].dim),
+            "plus": _exact_at(proj[g], conn[g], narrow[g].dim),
         }
         joints[g] = report
         exact = exact and all(j["exact"] for j in report.values())
@@ -501,14 +492,16 @@ def les_exactness_check(cx: GradedComplex) -> dict:
 
     The window keeps U-exponents in [-w, w) with w = 2 * max exponent + 2
     read off the classification; the whole check re-runs at double width
-    and must reach the same verdict.
+    and must reach the same verdict.  Both runs read their windows off one
+    window of width 4 * w, eliminated once per grading.
     """
     if cx.rank > 12:
         raise RankTooLarge(f"rank {cx.rank} exceeds the window-check cap 12")
     red = reduce_complex(cx)
     width = 2 * red.normal_form.max_exponent + 2
-    first = _les_at_window(cx, width)
-    second = _les_at_window(cx, 2 * width)
+    window = _Window(cx, 4 * width)
+    first = _les_at_window(window, width)
+    second = _les_at_window(window, 2 * width)
     if first["exact"] != second["exact"]:
         raise CrossCheckMismatch(
             f"window doubling flipped the exactness verdict at width {width}")

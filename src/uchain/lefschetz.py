@@ -147,10 +147,10 @@ def _stable_traces(window: _Window, f_shifts: list[list[int]], small: int,
     image of H(small window) in H(big window) is exactly the true
     homology, is preserved by f, and the trace is read off there.
 
-    Both windows are the prefixes of widths ``small`` and ``big`` of one
-    ``window`` with top 0, so a small-window class is a big-window mask as
-    it stands, and f (given by ``window.shifts``) acts on it by shifting
-    each generator's bits by its entries' exponents.
+    Both windows end at exponent -1, so they are the prefixes of widths
+    ``small`` and ``big`` of ``window``: a small-window class is a
+    big-window mask as it stands, and f (given by ``window.shifts``) acts
+    on it by shifting each generator's bits by its entries' exponents.
     """
     out: dict[int, int] = {}
     for g in window.gradings:
@@ -178,8 +178,8 @@ def _stable_traces(window: _Window, f_shifts: list[list[int]], small: int,
 def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
     """Per-grading traces of the induced map on the plus-flavor homology,
     computed on truncation windows and stability-checked at double width.
-    All four windows are prefixes of the deepest, which is eliminated
-    once per grading."""
+    The four windows share their top, so each is the prefix of its width
+    of the deepest, which is eliminated once per grading."""
     _check_endomorphism(cx, f)
     red = reduce_complex(cx)
     if red.one_steps:
@@ -188,7 +188,7 @@ def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
             "infinite dimensional")
     n_max = red.normal_form.max_exponent
     small = n_max + 1
-    window = _Window(cx, -(2 * small + n_max), 0)
+    window = _Window(cx, 2 * small + n_max)
     f_shifts = window.shifts(f._cols)
     first = _stable_traces(window, f_shifts, small, small + n_max)
     second = _stable_traces(window, f_shifts, 2 * small, 2 * small + n_max)

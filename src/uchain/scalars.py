@@ -282,10 +282,6 @@ class LocalScalar:
         self.num = n
         self.den = d
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "LocalScalar":
-        return cls(p)
-
     # -- field-like structure (restricted to the localization) --
 
     def __add__(self, other: "LocalScalar") -> "LocalScalar":

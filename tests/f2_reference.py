@@ -1,6 +1,7 @@
 """Reference F2 quotient for the tests: kernel combinations and a greedy
 quotient, as the library computed windowed homology before it read the
-representatives off one elimination per grading.
+representatives off one elimination per grading; and the conversions
+between chains and the masks of a ``homology._Window`` placed at a top.
 
 The test-local homology models (``_QuotientSlice``, ``_PlusSlice``,
 ``_f2_homology``) build on these, so they stay independent of
@@ -12,7 +13,26 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from uchain.gf2 import Span, scatter
+from uchain.complexes import LaurentChain
+from uchain.gf2 import Span, scatter, set_bits
+
+
+def mask_of(window, top: int, chain: LaurentChain) -> int:
+    """``chain`` as a mask of ``window`` with top ``top``: bit
+    (top - 1 - e) * rank + j is U^e times generator j, and terms outside
+    the exponents [top - width, top) or the complex fall out."""
+    m = 0
+    for g, e in chain.terms:
+        j = window._index.get(g)
+        if j is not None and top - window.width <= e < top:
+            m |= 1 << ((top - 1 - e) * window.rank + j)
+    return m
+
+
+def chain_of(window, top: int, mask: int) -> LaurentChain:
+    """The chain of a mask of ``window`` with top ``top``."""
+    return LaurentChain((window._gens[i % window.rank], top - 1 - i // window.rank)
+                        for i in set_bits(mask))
 
 
 def kernel_combos(vectors: list[int]) -> list[int]:

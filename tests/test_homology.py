@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from uchain.complexes import (
 )
 from uchain.errors import (
     ComplexMismatch,
+    CrossCheckMismatch,
     DegreeMismatch,
     InfinityNotZero,
     NotACycle,
@@ -33,6 +35,7 @@ from uchain.errors import (
 from uchain.gf2 import Span, rank
 from uchain.homology import (
     _Window,
+    _les_at_window,
     chain_to_json,
     delta,
     delta_inverse,
@@ -54,7 +57,8 @@ from uchain.normal_form import (
 )
 from uchain.scalars import Poly
 
-from f2_reference import QuotientBasis, greedy_window_homology, kernel_combos
+from f2_reference import (QuotientBasis, chain_of, greedy_window_homology,
+                          kernel_combos, mask_of)
 
 
 def _two_step(n: int, top: str = "a", bottom: str = "b") -> GradedComplex:
@@ -466,38 +470,142 @@ def test_exactness_on_random_complexes():
         assert les_exactness_check(_mixed_complex(seed))["exact"] is True
 
 
+class _StandaloneWindow:
+    """The window [top - width, top) built from chains alone: its columns
+    and boundary masks come from ``boundary_chain`` through the test-local
+    conversions, not from ``homology._Window``."""
+
+    def __init__(self, cx: GradedComplex, width: int, top: int):
+        self.cx, self.width, self.top = cx, width, top
+        self.rank = cx.rank
+        self._gens = cx.generators
+        self._index = cx.index()
+
+    def mask(self, chain: LaurentChain) -> int:
+        return mask_of(self, self.top, chain)
+
+    def chain(self, mask: int) -> LaurentChain:
+        return chain_of(self, self.top, mask)
+
+    def columns(self, grading: int) -> list[int]:
+        return [i for i in range(self.width * self.rank)
+                if self.cx.gradings[self._gens[i % self.rank]] == grading]
+
+    def boundary_mask(self, i: int) -> int:
+        return self.mask(self.cx.boundary_chain(self.chain(1 << i)))
+
+
+def _reference_joint(in_cols: list[int], out_cols: list[int],
+                     mid_dim: int) -> dict:
+    image, kernel = rank(in_cols), mid_dim - rank(out_cols)
+    composite = [0] * len(in_cols)
+    for k, c in enumerate(in_cols):
+        for i, col in enumerate(out_cols):
+            if c >> i & 1:
+                composite[k] ^= col
+    return {"image": image, "kernel": kernel,
+            "exact": not any(composite) and image == kernel}
+
+
+def _reference_sequence(cx: GradedComplex, w: int) -> dict:
+    """The sequence on the windows [0, w), [-w, w) and [-w, 0), each built
+    standalone at its own top, with greedy homology and every map a chain
+    round trip."""
+    minus = _StandaloneWindow(cx, w, w)
+    both = _StandaloneWindow(cx, 2 * w, w)
+    plus = _StandaloneWindow(cx, w, 0)
+    gradings = sorted(set(cx.gradings.values()))
+    hm = {g: greedy_window_homology(minus, g)
+          for g in set(gradings) | {g - 1 for g in gradings}}
+    hb = {g: greedy_window_homology(both, g) for g in gradings}
+    hp = {g: greedy_window_homology(plus, g) for g in gradings}
+
+    def induced(src, apply, dst) -> list[int]:
+        cols = [dst.coords(apply(v)) for v in src.reps]
+        assert None not in cols
+        return cols
+
+    def connect(v: int) -> int:
+        bd = cx.boundary_chain(plus.chain(v))
+        assert not bd.negative_part()
+        return minus.mask(bd)
+
+    iota = {g: induced(hm[g], lambda v: both.mask(minus.chain(v)), hb[g])
+            for g in gradings}
+    proj = {g: induced(hb[g], lambda v: plus.mask(both.chain(v)), hp[g])
+            for g in gradings}
+    conn = {g: induced(hp[g], connect, hm[g - 1]) for g in gradings}
+    joints = {g: {"minus": _reference_joint(conn.get(g + 1, []), iota[g],
+                                            hm[g].dim),
+                  "infinity": _reference_joint(iota[g], proj[g], hb[g].dim),
+                  "plus": _reference_joint(proj[g], conn[g], hp[g].dim)}
+              for g in gradings}
+    exact = all(j["exact"] for report in joints.values()
+                for j in report.values())
+    return {"joints": joints, "exact": exact}
+
+
+def _reference_exactness_report(cx: GradedComplex) -> dict:
+    width = 2 * classify(cx).max_exponent + 2
+    first = _reference_sequence(cx, width)
+    second = _reference_sequence(cx, 2 * width)
+    assert first["exact"] == second["exact"]
+    return {"window": width, "rank": cx.rank, "exact": first["exact"],
+            "joints": first["joints"],
+            "double_window": {"window": 2 * width, "exact": second["exact"]}}
+
+
+def test_exactness_report_matches_the_standalone_window_reference():
+    for seed in range(40):
+        cx = _mixed_complex(seed)
+        assert (json.dumps(les_exactness_check(cx))
+                == json.dumps(_reference_exactness_report(cx)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_exactness_report_matches_the_reference_under_hypothesis(seed: int):
+    cx = _mixed_complex(seed)
+    assert (json.dumps(les_exactness_check(cx))
+            == json.dumps(_reference_exactness_report(cx)))
+
+
 def test_window_layout_and_boundaries_match_the_term_by_term_reference():
     # the window's basis as a list, exponent by exponent from the top, each
     # exponent's generators in order; the boundary of U^e g is added one
-    # differential term at a time, each kept where it lands inside the window
+    # differential term at a time, each kept where it lands inside the
+    # window.  One window serves every top: it is its width.
     for seed in range(10):
         cx = _mixed_complex(seed)
-        for lo, hi in [(-7, 0), (0, 5), (-3, 4)]:
-            w = _Window(cx, lo, hi)
-            basis = [(g, e) for e in reversed(range(lo, hi))
-                     for g in cx.generators]
-            for i, (g, e) in enumerate(basis):
-                assert w.chain_of(1 << i) == LaurentChain.of((g, e))
-                assert w.mask_of(LaurentChain.of((g, e))) == 1 << i
-                ref = 0
-                for (t, s), p in cx.d.items():
-                    if s == g:
-                        for k in p.exponents():
-                            if e + k < hi:
-                                ref ^= 1 << basis.index((t, e + k))
-                assert w.boundary_mask(i) == ref
-            for gr in set(cx.gradings.values()):
-                assert w.columns(gr) == [i for i, (g, _) in enumerate(basis)
-                                         if cx.gradings[g] == gr]
-            outside = LaurentChain.of((cx.generators[0], lo - 1),
-                                      (cx.generators[-1], hi), ("nowhere", lo))
-            assert w.mask_of(outside) == 0
+        for width in (7, 5):
+            w = _Window(cx, width)
+            for top in (0, 4, -3):
+                lo = top - width
+                basis = [(g, e) for e in reversed(range(lo, top))
+                         for g in cx.generators]
+                for i, (g, e) in enumerate(basis):
+                    assert chain_of(w, top, 1 << i) == LaurentChain.of((g, e))
+                    assert mask_of(w, top, LaurentChain.of((g, e))) == 1 << i
+                    ref = 0
+                    for (t, s), p in cx.d.items():
+                        if s == g:
+                            for k in p.exponents():
+                                if e + k < top:
+                                    ref ^= 1 << basis.index((t, e + k))
+                    assert w.boundary_mask(i) == ref
+                for gr in set(cx.gradings.values()):
+                    assert w.columns(gr) == [i for i, (g, _) in enumerate(basis)
+                                             if cx.gradings[g] == gr]
+                outside = LaurentChain.of((cx.generators[0], lo - 1),
+                                          (cx.generators[-1], top),
+                                          ("nowhere", lo))
+                assert mask_of(w, top, outside) == 0
 
 
 # ---------------------------------------------------------------------------
 # window homology against the greedy reference
 
-_WINDOWS = [(-7, 0), (0, 5), (-3, 4)]
+_WIDTHS = (7, 5)
 
 
 def _paired_complex(seed: int, one_steps: bool) -> GradedComplex:
@@ -549,8 +657,8 @@ def _assert_quotient_matches_greedy(h, w: _Window, g: int,
 def _assert_window_homology_matches_greedy(cx: GradedComplex,
                                            rng: random.Random) -> None:
     gradings = set(cx.gradings.values())
-    for lo, hi in _WINDOWS:
-        w = _Window(cx, lo, hi)
+    for width in _WIDTHS:
+        w = _Window(cx, width)
         for g in range(min(gradings) - 1, max(gradings) + 2):
             _assert_quotient_matches_greedy(w.homology(g), w, g, rng)
 
@@ -580,13 +688,11 @@ def _assert_prefixes_match_standalone_windows(cx: GradedComplex,
     n = classify(cx).max_exponent
     depth = 3 * n + 2
     gradings = set(cx.gradings.values())
-    for hi in (0, 4):
-        deep = _Window(cx, hi - depth, hi)
-        for width in range(1, depth + 1):
-            w = _Window(cx, hi - width, hi)
-            for g in range(min(gradings) - 1, max(gradings) + 2):
-                _assert_quotient_matches_greedy(deep.homology(g, width), w, g,
-                                                rng)
+    deep = _Window(cx, depth)
+    for width in range(1, depth + 1):
+        w = _Window(cx, width)
+        for g in range(min(gradings) - 1, max(gradings) + 2):
+            _assert_quotient_matches_greedy(deep.homology(g, width), w, g, rng)
 
 
 def test_every_prefix_of_a_deep_window_matches_a_standalone_window():
@@ -609,28 +715,27 @@ def test_every_prefix_of_a_deep_window_matches_under_hypothesis(
 def _assert_masks_match_the_chain_round_trip(cx: GradedComplex,
                                              rng: random.Random) -> None:
     f = random_chain_map(cx, rng.getrandbits(32))
-    windows = [_Window(cx, lo, hi) for lo, hi in _WINDOWS]
-    for src in windows:
+    for top, width in [(0, 7), (5, 5), (4, 7)]:
+        src = _Window(cx, width)
         f_shifts = src.shifts(f._cols)
         masks = [rng.getrandbits(src.width * cx.rank) for _ in range(4)]
         masks += [v for g in set(cx.gradings.values())
                   for v in src.homology(g).reps]
         for m in masks:
-            chain = src.chain_of(m)
-            assert src.map_mask(f_shifts, m) == src.mask_of(f.apply_chain(chain))
+            chain = chain_of(src, top, m)
+            assert (src.map_mask(f_shifts, m)
+                    == mask_of(src, top, f.apply_chain(chain)))
             assert (src.map_mask(src._d, m)
-                    == src.mask_of(cx.boundary_chain(chain)))
-            for dst in windows:  # exponents outside dst fall out
-                assert dst.lift(src, m) == dst.mask_of(chain)
-    # the oracle's pair: a window inside a deeper one with the same top
-    ws, wb = _Window(cx, -3, 0), _Window(cx, -7, 0)
+                    == mask_of(src, top, cx.boundary_chain(chain)))
+    # the oracle's pair: a window inside a deeper one with the same top,
+    # where a class of the shallower is a mask of the deeper as it stands
+    ws, wb = _Window(cx, 3), _Window(cx, 7)
     f_shifts = wb.shifts(f._cols)
     for g in set(cx.gradings.values()):
         for v in ws.homology(g).reps + [rng.getrandbits(3 * cx.rank)]:
-            chain = ws.chain_of(v)
-            assert wb.lift(ws, v) == wb.mask_of(chain)
-            assert (wb.map_mask(f_shifts, wb.lift(ws, v))
-                    == wb.mask_of(f.apply_chain(chain)))
+            chain = chain_of(ws, 0, v)
+            assert mask_of(wb, 0, chain) == v
+            assert wb.map_mask(f_shifts, v) == mask_of(wb, 0, f.apply_chain(chain))
 
 
 def test_window_lift_and_map_match_the_chain_round_trip():
@@ -648,6 +753,16 @@ def test_window_lift_and_map_match_the_chain_round_trip_under_hypothesis(
     rng = random.Random(seed)
     for cx in _window_inputs(seed, one_steps):
         _assert_masks_match_the_chain_round_trip(cx, rng)
+
+
+def test_windowed_connecting_map_must_land_in_the_subcomplex():
+    # a d that lowers every exponent by one takes each plus class of the
+    # two-step above the rows of [0, w) in [-w, w); the check refuses it
+    cx = _two_step(3)
+    window = _Window(cx, 4 * 8)
+    window._d = [[cx.rank] for _ in cx.generators]
+    with pytest.raises(CrossCheckMismatch, match="left the subcomplex"):
+        _les_at_window(window, 8)
 
 
 def test_exactness_check_refuses_large_ranks():

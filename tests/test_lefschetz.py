@@ -58,7 +58,7 @@ from uchain.normal_form import (
 )
 from uchain.scalars import P1, Poly
 
-from f2_reference import greedy_window_homology
+from f2_reference import chain_of, greedy_window_homology, mask_of
 
 
 def _two_step(n: int) -> GradedComplex:
@@ -364,22 +364,22 @@ def _round_trip_stable_traces(cx: GradedComplex, f: ChainMap, small: int,
     """The oracle's stable traces walked through chains: each class goes
     to a chain and back into the deeper window, f acts on the chain, and
     window homology is the greedy reference."""
-    ws, wb = _Window(cx, -small, 0), _Window(cx, -big, 0)
+    ws, wb = _Window(cx, small), _Window(cx, big)
     out = {}
     for g in sorted(set(cx.gradings.values())):
         hb = greedy_window_homology(wb, g)
         stable = []
         span = Span()
         for v in greedy_window_homology(ws, g).reps:
-            chain = ws.chain_of(v)
-            c = hb.coords(wb.mask_of(chain))
+            chain = chain_of(ws, 0, v)
+            c = hb.coords(mask_of(wb, 0, chain))
             assert c is not None
             tag = span.count
             if span.add(c):
                 stable.append((tag, chain))
         trace = 0
         for tag, chain in stable:
-            fc = hb.coords(wb.mask_of(f.apply_chain(chain)))
+            fc = hb.coords(mask_of(wb, 0, f.apply_chain(chain)))
             combo = None if fc is None else span.express(fc)
             assert combo is not None
             trace ^= combo >> tag & 1
@@ -400,7 +400,7 @@ def _assert_stable_traces_match_the_round_trip(cx: GradedComplex,
                                                f: ChainMap) -> None:
     n_max = classify(cx).max_exponent
     small = n_max + 1
-    window = _Window(cx, -(2 * small + n_max), 0)
+    window = _Window(cx, 2 * small + n_max)
     f_shifts = window.shifts(f._cols)
     for depth in (small, 2 * small):
         assert (lefschetz._stable_traces(window, f_shifts, depth, depth + n_max)
