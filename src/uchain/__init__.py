@@ -31,7 +31,6 @@ from .lefschetz import (TrialFailure, VerificationReport, cotrace_map,
 from .normal_form import (NormalForm, classify, minor_gcd_check,
                           random_basis_change, random_chain_map,
                           random_normal_form, realize, reduce_complex)
-from .scalars import (LocalScalar, Poly, formal_derivative, local_inverse,
-                      poly_add, poly_gcd, poly_mul, valuation)
+from .scalars import LocalScalar, Poly, poly_gcd
 
 __version__ = "0.1.0"

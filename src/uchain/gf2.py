@@ -14,10 +14,10 @@ to end.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Span", "rank", "solve", "eliminate", "Quotient", "set_bits",
-           "scatter"]
+__all__ = ["Span", "rank", "eliminate", "Quotient", "set_bits", "scatter"]
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -72,9 +72,6 @@ class Span:
         self._rows[res.bit_length() - 1] = (res, combo)
         return True
 
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec)[0] == 0
-
     def express(self, vec: int) -> Optional[int]:
         """Combination of previously added vectors equal to ``vec``."""
         res, combo = self.reduce(vec)
@@ -86,14 +83,6 @@ def rank(vectors: Iterable[int]) -> int:
     for v in vectors:
         span.add(v)
     return span.dim
-
-
-def solve(vectors: List[int], target: int) -> Optional[int]:
-    """Bit mask x with XOR of {vectors[i] : bit i of x} = target, or None."""
-    span = Span()
-    for v in vectors:
-        span.add(v)
-    return span.express(target)
 
 
 def eliminate(vectors: List[int]) -> Tuple[List[int], Dict[int, int]]:
@@ -137,15 +126,22 @@ class Quotient:
 
     def __init__(self, reps: List[int], boundary_rows: Dict[int, int]):
         self.reps = reps
-        # boundary rows carry no combination, representative k carries bit k
-        self._span = Span()
-        self._span._rows = {top: (b, 0) for top, b in boundary_rows.items()}
-        for k, z in enumerate(reps):
-            self._span._rows[z.bit_length() - 1] = (z, 1 << k)
+        self._boundary_rows = boundary_rows
 
     @property
     def dim(self) -> int:
         return len(self.reps)
+
+    @cached_property
+    def _span(self) -> Span:
+        """Built on the first ``coords`` call: the oracle reads only the
+        reps of most quotients.  Boundary rows carry no combination,
+        representative k carries bit k."""
+        span = Span()
+        span._rows = {top: (b, 0) for top, b in self._boundary_rows.items()}
+        for k, z in enumerate(self.reps):
+            span._rows[z.bit_length() - 1] = (z, 1 << k)
+        return span
 
     def coords(self, vec: int) -> Optional[int]:
         """Class of ``vec`` as a bit mask over ``reps``, or None if ``vec``

@@ -31,7 +31,7 @@ from .complexes import (ChainMap, GradedComplex, LaurentChain, _dual_id,
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, NotACycle, NotACycleInPlus, NotInImage,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
-from .gf2 import Quotient, eliminate, rank, scatter, set_bits, solve
+from .gf2 import Quotient, eliminate, rank, scatter, set_bits
 from .normal_form import Reduction, _clear_denominators, reduce_complex
 from .scalars import Poly, _pmul
 
@@ -66,10 +66,6 @@ class HomologyPresentation:
     torsion: tuple[tuple[int, int], ...]
     f2_dimension: int | None
     basis: tuple[LaurentChain, ...]
-
-    @property
-    def total_free_rank(self) -> int:
-        return sum(self.free_ranks.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,8 +203,10 @@ def h_red(cx: GradedComplex, side: str) -> HomologyPresentation:
 #
 # Flat F2 coordinates pack one bit per (2-step k, power): bit
 # offsets[k]+j is U^j times the torsion generator on the minus side, and
-# the class of U^-(j+1) times the a-column on the plus side.  The
-# connecting map is block-diagonal in these coordinates.
+# the class of U^-(n-j) times the a-column on the plus side, top-down.
+# The connecting map is block-diagonal in these coordinates, and on a
+# 2-step a -> U^n u b it sends U^-(n-j) a to U^j u b, so block k is
+# multiplication by the unit u modulo U^n.
 
 
 def _torsion_coords(red: Reduction, chain: LaurentChain) -> int:
@@ -235,20 +233,12 @@ def _plus_rep(red: Reduction, bits: int) -> LaurentChain:
     q, _ = red.series_transform()
     acc = LaurentChain()
     for k, r in enumerate(red.two_steps):
-        block = bits >> red.offsets[k] & ((1 << r.exponent) - 1)
-        for depth in range(1, r.exponent + 1):
-            if block >> (depth - 1) & 1:
+        n = r.exponent
+        block = bits >> red.offsets[k] & ((1 << n) - 1)
+        for depth in range(1, n + 1):
+            if block >> (n - depth) & 1:
                 acc = acc + _negative_shift(red, q[r.a], depth)
     return acc
-
-
-def _delta_block_columns(red: Reduction, k: int) -> list[int]:
-    """The connecting map on 2-step k in flat coordinates: depth i goes to
-    the class of U^(n-i) times the unit, modulo U^n."""
-    r = red.two_steps[k]
-    n = r.exponent
-    u = r.unit.series(n)
-    return [(u << (n - i)) & ((1 << n) - 1) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +266,12 @@ def delta(cx: GradedComplex, chain: LaurentChain) -> LaurentChain:
 def delta_inverse(cx: GradedComplex, chain: LaurentChain) -> LaurentChain:
     """Inverse of the connecting map on a polynomial cycle's class.
 
-    Defined only when the infinity flavor vanishes (no 1-steps).  Solves
-    block-by-block in flat coordinates, emits the canonical
-    purely-negative representative, and re-checks through the zig-zag
-    that its image is homologous to the input.
+    Defined only when the infinity flavor vanishes (no 1-steps).  Block k
+    of the connecting map is multiplication by the unit u modulo U^n in
+    flat coordinates, so the preimage's block is the input's times the
+    series of u^-1 modulo U^n.  Emits the canonical purely-negative
+    representative and re-checks through the zig-zag that its image is
+    homologous to the input.
     """
     return _delta_inverse(reduce_complex(cx), chain)
 
@@ -300,11 +292,10 @@ def _delta_inverse(red: Reduction, chain: LaurentChain) -> LaurentChain:
     target = _torsion_coords(red, chain)
     plus_bits = 0
     for k, r in enumerate(red.two_steps):
-        block = target >> red.offsets[k] & ((1 << r.exponent) - 1)
-        combo = solve(_delta_block_columns(red, k), block)
-        if combo is None:
-            raise NotInImage("connecting block did not solve")
-        plus_bits |= combo << red.offsets[k]
+        mask = (1 << r.exponent) - 1
+        block = target >> red.offsets[k] & mask
+        u_inv = r.unit.inverse().series(r.exponent)
+        plus_bits |= (_pmul(block, u_inv) & mask) << red.offsets[k]
     w = _plus_rep(red, plus_bits)
     back = cx.boundary_chain(w)
     if back.negative_part() or _torsion_coords(red, back) != target:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .complexes import (ChainMap, GradedComplex, _chain_map,
@@ -314,6 +313,9 @@ def verify_proposition(campaign_seed: int, trials: int, max_rank: int,
             for i in range(trials)]
     workers = _pool_size(jobs, trials)
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing would cost
+        # every import of the package, and only a worker pool needs them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial_packed, work,
                                     chunksize=max(1, trials // (4 * workers))))

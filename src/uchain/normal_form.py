@@ -62,10 +62,6 @@ class NormalForm:
                            tuple(sorted(tuple(t) for t in self.two_steps)))
 
     @property
-    def total_rank(self) -> int:
-        return len(self.one_steps) + 2 * len(self.two_steps)
-
-    @property
     def max_exponent(self) -> int:
         return max((n for _, n in self.two_steps), default=0)
 
@@ -289,17 +285,16 @@ def realize(nf: NormalForm, name: str = "model") -> GradedComplex:
 
 
 def random_normal_form(rng: random.Random, max_rank: int, max_exponent: int,
-                       one_steps: bool = True,
-                       grading_span: tuple[int, int] = (-2, 2)) -> NormalForm:
-    """Random normal form of total rank <= max_rank with >= one 2-step."""
-    lo, hi = grading_span
+                       one_steps: bool = True) -> NormalForm:
+    """Random normal form of total rank <= max_rank with >= one 2-step,
+    all gradings in -2..2."""
     pairs = rng.randint(1, max(1, max_rank // 2))
-    twos = tuple((rng.randint(lo, hi), rng.randint(1, max_exponent))
+    twos = tuple((rng.randint(-2, 2), rng.randint(1, max_exponent))
                  for _ in range(pairs))
     ones: tuple[int, ...] = ()
     if one_steps:
         room = max_rank - 2 * pairs
-        ones = tuple(rng.randint(lo, hi) for _ in range(rng.randint(0, room)))
+        ones = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, room)))
     return NormalForm(ones, twos)
 
 

@@ -30,12 +30,7 @@ __all__ = [
     "EXPONENT_LIMIT",
     "Poly",
     "LocalScalar",
-    "poly_add",
-    "poly_mul",
     "poly_gcd",
-    "valuation",
-    "formal_derivative",
-    "local_inverse",
 ]
 
 EXPONENT_LIMIT = 1 << 20
@@ -226,11 +221,6 @@ class Poly:
             b &= b - 1
         return tuple(out)
 
-    def truncate(self, order: int) -> "Poly":
-        if order <= 0:
-            return Poly(0)
-        return Poly(self.bits & ((1 << order) - 1))
-
     # -- protocol --
 
     def __bool__(self) -> bool:
@@ -321,15 +311,6 @@ class LocalScalar:
             return self.num & mask
         return _pmul(self.num & mask, _series_inv(self.den, order)) & mask
 
-    def series_poly(self, order: int) -> Poly:
-        return Poly(self.series(order))
-
-    def numerator(self) -> Poly:
-        return Poly(self.num)
-
-    def denominator(self) -> Poly:
-        return Poly(self.den)
-
     # -- protocol --
 
     def __bool__(self) -> bool:
@@ -355,33 +336,8 @@ LS0 = LocalScalar(0)
 LS1 = LocalScalar(1)
 
 
-# ---------------------------------------------------------------------------
-# operation-style entry points
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def valuation(x: Poly | LocalScalar) -> int | float:
-    """U-adic valuation; the zero element has valuation +infinity."""
-    return x.valuation()
-
-
-def formal_derivative(p: Poly) -> Poly:
-    return p.derivative()
-
-
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd (every nonzero element of F2[U] is monic)."""
     if not p and not q:
         raise BothZero("gcd(0, 0) is undefined")
     return Poly(_pgcd(p.bits, q.bits))
-
-
-def local_inverse(s: LocalScalar) -> LocalScalar:
-    return s.inverse()

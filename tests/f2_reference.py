@@ -1,7 +1,8 @@
 """Reference F2 quotient for the tests: kernel combinations and a greedy
 quotient, as the library computed windowed homology before it read the
-representatives off one elimination per grading; and the conversions
-between chains and the masks of a ``homology._Window`` placed at a top.
+representatives off one elimination per grading; the conversions
+between chains and the masks of a ``homology._Window`` placed at a top;
+and a general solve, for the tests that ask whether a chain bounds.
 
 The test-local homology models (``_QuotientSlice``, ``_PlusSlice``,
 ``_f2_homology``) build on these, so they stay independent of
@@ -33,6 +34,14 @@ def chain_of(window, top: int, mask: int) -> LaurentChain:
     """The chain of a mask of ``window`` with top ``top``."""
     return LaurentChain((window._gens[i % window.rank], top - 1 - i // window.rank)
                         for i in set_bits(mask))
+
+
+def solve(vectors: list[int], target: int) -> Optional[int]:
+    """Bit mask x with XOR of {vectors[i] : bit i of x} = target, or None."""
+    span = Span()
+    for v in vectors:
+        span.add(v)
+    return span.express(target)
 
 
 def kernel_combos(vectors: list[int]) -> list[int]:

@@ -246,6 +246,17 @@ def test_module_entry_point_runs(workdir):
         {"exponent": 3, "grading_a": 1}]
 
 
+def test_importing_the_package_loads_no_process_pool():
+    # verify imports them only when it starts worker processes
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, uchain, uchain.cli; print(sorted(m for m in "
+         "('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # error taxonomy -> exit codes
 

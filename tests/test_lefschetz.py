@@ -422,6 +422,31 @@ def test_stable_traces_match_the_chain_round_trip_under_hypothesis(seed: int):
             cx, random_chain_map(cx, seed=seed + 11))
 
 
+def test_small_windows_build_no_class_coordinates(monkeypatch):
+    """The oracle reads only the reps of the small windows' homology, so
+    their quotients never build the span that ``coords`` needs; the deep
+    windows, which are queried, do."""
+    built = []
+    homology = _Window.homology
+
+    def recording(self, grading, width=None):
+        quotient = homology(self, grading, width)
+        built.append((width, quotient))
+        return quotient
+
+    monkeypatch.setattr(_Window, "homology", recording)
+    for seed in range(5):
+        cx = _paired_torsion_complex(seed)
+        small = classify(cx).max_exponent + 1
+        built.clear()
+        lefschetz_by_grading(cx, random_chain_map(cx, seed=seed + 11))
+        shallow = [q for w, q in built if w in (small, 2 * small)]
+        deep = [q for w, q in built if w not in (small, 2 * small)]
+        assert shallow and deep
+        assert all("_span" not in q.__dict__ for q in shallow)
+        assert all("_span" in q.__dict__ for q in deep if q.reps)
+
+
 def test_oracle_catches_a_map_that_leaves_the_stable_subspace():
     # a1 -> a2 is no chain map: U^-2 a1 is a class of the plus flavor, but
     # U^-2 a2 has boundary U^-1 b2 and is no cycle there
@@ -564,6 +589,37 @@ def test_campaign_parameter_validation():
     with pytest.raises(ParameterOutOfRange):
         verify_proposition(campaign_seed=1, trials=1, max_rank=6, max_exponent=4,
                            jobs=0)
+
+
+def _shift_derivative_dual(cx: GradedComplex) -> ChainMap:
+    """phi-dual with the factor n forgotten: each entry p of d becomes
+    (p - p(0)) / U, so U^n goes to U^(n-1) where the derivative gives
+    n U^(n-1); wrong exactly on the blocks of even exponent."""
+    return _chain_map("shift_dual", dual(cx), dual(cx), -1,
+                      [((_dual_id(s), _dual_id(t)), Poly(p.bits >> 1))
+                       for (t, s), p in cx.d.items()])
+
+
+def test_a_live_phi_dual_mutation_is_caught_in_both_directions():
+    # trials drawn as lefschetz._run_trial draws them
+    counts = {"mutated_one": 0, "one_against_zero": 0, "zero_against_one": 0}
+    for index in range(60):
+        seed = _trial_seed(20260814, index)
+        rng = random.Random(seed)
+        nf = random_normal_form(rng, 8, 6, one_steps=False)
+        cx = random_basis_change(realize(nf, name=f"trial{index}"),
+                                 seed=rng.getrandbits(32),
+                                 steps=rng.randint(0, 20))
+        f = random_chain_map(cx, rng.getrandbits(32))
+        oracle = lefschetz_oracle(cx, f)
+        assert delta_quantity(cx, f) == oracle
+        mutated = delta_quantity(cx, f,
+                                 _phi_dual_override=_shift_derivative_dual(cx))
+        counts["mutated_one"] += mutated
+        counts["one_against_zero"] += (mutated, oracle) == (1, 0)
+        counts["zero_against_one"] += (mutated, oracle) == (0, 1)
+    assert counts == {"mutated_one": 22, "one_against_zero": 10,
+                      "zero_against_one": 3}
 
 
 def test_dropping_the_dual_derivative_is_caught():

@@ -1,14 +1,18 @@
-"""Every name a library module imports is used there or re-exported.
+"""Every name a library module imports is used there or re-exported, and
+every name its ``__all__`` lists is bound.
 
 A stand-in for pyflakes' unused-import check: each module under
 ``src/uchain/`` except ``__init__`` is parsed with ``ast``, and an imported
 name must appear as a name in the module's code (string annotations
-included) or be listed in its ``__all__``.
+included) or be listed in its ``__all__``.  A stale ``__all__`` entry
+would break ``from uchain.<module> import *``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,26 @@ def test_the_check_sees_an_unused_import():
                      "def f(x: 'b') -> None: pass\n__all__ = ['e']\n")
     kept = _used(tree) | _exported(tree)
     assert sorted(n for n in _imported(tree) if n not in kept) == ["d", "os"]
+
+
+def _unbound(module: types.ModuleType) -> list[str]:
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+_EXPORTING = [p for p in _MODULES
+              if _exported(ast.parse(p.read_text(), filename=str(p)))]
+
+
+@pytest.mark.parametrize("path", _EXPORTING, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path: Path):
+    module = importlib.import_module(f"uchain.{path.stem}")
+    unbound = _unbound(module)
+    assert not unbound, f"{path.name}: __all__ lists unbound names {unbound}"
+
+
+def test_the_check_sees_a_stale_export():
+    module = types.ModuleType("stale")
+    module.__all__ = ["kept", "gone"]
+    module.kept = 1
+    assert _unbound(module) == ["gone"]
