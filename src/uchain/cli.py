@@ -16,15 +16,16 @@ import json
 import sys
 from pathlib import Path
 
-from .complexes import (GradedComplex, LaurentChain, _positional, cone,
-                        complex_to_text, dual, parse_chain_map, parse_complex)
+from .complexes import (GradedComplex, cone, complex_to_text, dual,
+                        parse_chain_map, parse_complex)
 from .errors import InfinityNotZero, ParseError, UChainError
 from .gf2 import rank
 from .homology import (_h_plus, f2_pairing, h_infinity, h_minus, h_plus,
                        h_red, mapping_torus_betti)
-from .lefschetz import (_trace_maps, delta_quantity, lefschetz_by_grading,
+from .lefschetz import (delta_quantity, lefschetz_by_grading,
                         verify_proposition)
 from .normal_form import reduce_complex
+from .scalars import _pmul
 
 _FLAVORS = {
     "minus": lambda cx: h_minus(cx),
@@ -162,11 +163,14 @@ def _cmd_pairing_check(args) -> tuple[dict, int]:
     matrix_rank = rank(rows)
     dim = plus.f2_dimension
     invertible = matrix_rank == dim == red_minus.f2_dimension
-    pcx = _positional(cx)[0]
-    tr, cotr = _trace_maps(pcx)
-    traced = tr.apply_chain(cotr.apply_chain(LaurentChain.of(("1", 0))))
-    trace_ok = traced.coefficient("1", 0) == cx.rank % 2 and \
-        len(traced.terms) <= 1
+    # trace o cotrace (1) in the reduced basis, the columns of Q with the
+    # rows of Q^-1 as dual basis: sum_k (Q^-1 Q)[k][k], series mod U^cap
+    q, qi = red.series_transform()
+    traced = 0
+    for col, row in zip(q, qi):
+        for i in row.keys() & col.keys():
+            traced ^= _pmul(row[i], col[i])
+    trace_ok = traced & ((1 << red.cap) - 1) == cx.rank % 2
     payload = {"dimension": dim, "matrix_rank": matrix_rank,
                "invertible": invertible, "trace_cotrace_ok": trace_ok}
     return payload, 0 if invertible and trace_ok else 4

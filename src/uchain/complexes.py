@@ -16,17 +16,19 @@ Validation happens once, at the trust boundary.  ``build_complex``,
 known generator, that gradings are homogeneous and that d^2 = 0 or the
 chain relation holds.  The constructions below (dual, tensor, cone, sum,
 shift, relabel, the unit complex, and the identity, zero, scalar, tensor,
-composite and sum maps) build from objects that already passed those
-checks and are valid by construction, so they skip them; every path
-still rejects duplicate generator names.  Objects are treated as
-immutable.  Structural equality ignores names.
+composite and sum maps), and the seeded generators of ``normal_form``
+(``realize``, ``random_basis_change``, ``random_chain_map``), build from
+objects that already passed those checks and are valid by construction,
+so they skip them; every path still rejects duplicate generator names.
+Objects are treated as immutable.  Structural equality ignores names.
 
 Derived generators are named deterministically: ``g*`` for the dual of
 ``g``, ``x.y`` for tensor pairs, ``g[1]`` for the shifted copy inside a
 mapping cone, spelled here only (``_dual_id``, ``_pair_id``, ``_shift_id``).
 Joined names can collide (``a`` with ``b.c*`` and ``a.b`` with ``c*`` both
-give ``a.b.c*``), so code that wants only numbers from a derived complex
-first renames its input to positional ids with ``_positional``.
+give ``a.b.c*``), so the numeric verbs build no tensor or cone: they work
+on generator positions, and the only derived complex they build is the
+dual, whose ``g*`` names cannot collide.
 """
 
 from __future__ import annotations
@@ -340,18 +342,6 @@ def _pair_id(x: str, y: str) -> str:
 
 def _shift_id(g: str) -> str:
     return g + "[1]"
-
-
-def _positional(cx: GradedComplex, *maps: ChainMap) -> tuple[Any, ...]:
-    """``cx`` with generator k renamed ``"k"``, then each endomorphism of
-    ``cx`` moved along onto the renamed complex.  Ids derived from digit
-    strings cannot collide."""
-    pcx = relabel(cx, {g: str(k) for k, g in enumerate(cx.generators)})
-    ren = dict(zip(cx.generators, pcx.generators))
-    return (pcx, *(_chain_map(fm.name, pcx, pcx, fm.degree,
-                              (((ren[t], ren[s]), p)
-                               for (t, s), p in fm.entries.items()))
-                   for fm in maps))
 
 
 def dual(cx: GradedComplex) -> GradedComplex:

@@ -26,8 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
-from .complexes import (ChainMap, GradedComplex, LaurentChain, _dual_id,
-                        _positional, cone, identity_map, map_add)
+from .complexes import ChainMap, GradedComplex, LaurentChain, _dual_id
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, NotACycle, NotACycleInPlus, NotInImage,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
@@ -231,14 +230,14 @@ def _torsion_coords(red: Reduction, chain: LaurentChain) -> int:
 def _plus_rep(red: Reduction, bits: int) -> LaurentChain:
     """Canonical purely-negative representative with given plus coordinates."""
     q, _ = red.series_transform()
-    acc = LaurentChain()
+    acc: set[tuple[str, int]] = set()
     for k, r in enumerate(red.two_steps):
         n = r.exponent
         block = bits >> red.offsets[k] & ((1 << n) - 1)
         for depth in range(1, n + 1):
             if block >> (n - depth) & 1:
-                acc = acc + _negative_shift(red, q[r.a], depth)
-    return acc
+                acc ^= _negative_shift(red, q[r.a], depth).terms
+    return LaurentChain(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +512,9 @@ def mapping_torus_betti(cy: GradedComplex, phi: ChainMap) -> dict[int, int]:
     """F2 Betti numbers of the mapping torus of phi: the cone of id + phi.
 
     Both the complex and the map must be honestly U-free (entries 0 or 1);
-    genuine U-dependence is rejected rather than truncated.
+    genuine U-dependence is rejected rather than truncated.  The cone is
+    2n boundary bit columns: bit j is the shifted copy of generator j and
+    bit n + j the generator itself.
     """
     if not cy.is_u_free():
         raise NotUFree(f"complex {cy.name!r} has U-dependent differential entries")
@@ -523,19 +524,22 @@ def mapping_torus_betti(cy: GradedComplex, phi: ChainMap) -> dict[int, int]:
         raise DegreeMismatch(f"mapping torus needs a degree-0 map, got {phi.degree}")
     if phi.source != cy or phi.target != cy:
         raise ComplexMismatch("mapping torus needs an endomorphism of the complex")
-    pcy, pphi = _positional(cy, phi)
-    torus = cone(map_add(identity_map(pcy), pphi))
-    idx = torus.index()
-    bcol: dict[str, int] = {}
-    for (t, s), _ in torus.d.items():
-        bcol[s] = bcol.get(s, 0) ^ (1 << idx[t])
-    by_grading: dict[int, list[str]] = {}
-    for g in torus.generators:
-        by_grading.setdefault(torus.gradings[g], []).append(g)
+    n = cy.rank
+    idx = cy.index()
+    bcol = [1 << (n + j) for j in range(n)] + [0] * n     # the id in id + phi
+    for t, s in cy.d:
+        bcol[idx[s]] ^= 1 << idx[t]
+        bcol[n + idx[s]] ^= 1 << (n + idx[t])
+    for t, s in phi.entries:
+        bcol[idx[s]] ^= 1 << (n + idx[t])
+    by_grading: dict[int, list[int]] = {}
+    gradings = [cy.gradings[g] for g in cy.generators]
+    for j, gr in enumerate([g + 1 for g in gradings] + gradings):
+        by_grading.setdefault(gr, []).append(j)
     betti = {}
-    for gr, gens in sorted(by_grading.items()):
-        cycles = len(gens) - rank(bcol.get(g, 0) for g in gens)
-        boundaries = rank(bcol.get(g, 0) for g in by_grading.get(gr + 1, ()))
+    for gr, cols in sorted(by_grading.items()):
+        cycles = len(cols) - rank(bcol[j] for j in cols)
+        boundaries = rank(bcol[j] for j in by_grading.get(gr + 1, ()))
         betti[gr] = cycles - boundaries
     return betti
 
@@ -547,9 +551,4 @@ def mapping_torus_betti(cy: GradedComplex, phi: ChainMap) -> dict[int, int]:
 def f2_pairing(x: LaurentChain, y: LaurentChain) -> int:
     """Pairing of a chain in C with a chain in dual(C): generators pair
     with their starred duals, exponents pair when they sum to -1."""
-    acc = 0
-    for g, i in x.terms:
-        for h, j in y.terms:
-            if i + j == -1 and h == _dual_id(g):
-                acc ^= 1
-    return acc
+    return sum((_dual_id(g), -1 - i) in y.terms for g, i in x.terms) & 1

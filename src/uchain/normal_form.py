@@ -35,8 +35,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .complexes import (ChainMap, GradedComplex, _accumulate, _mat_mul,
-                        build_chain_map, build_complex, identity_map)
+from .complexes import (ChainMap, GradedComplex, _accumulate, _chain_map,
+                        _complex, _mat_mul, identity_map)
 from .errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
 from .scalars import (LS0, LS1, P1, LocalScalar, Poly, _pdivmod, _pgcd,
                       _pmul, _val)
@@ -268,16 +268,16 @@ def classify(cx: GradedComplex) -> NormalForm:
 def realize(nf: NormalForm, name: str = "model") -> GradedComplex:
     """Model complex of a normal form: a{k} -> U^n -> b{k} plus x{j}."""
     gens: list[tuple[str, int]] = []
-    entries: list[tuple[str, str, Poly]] = []
+    entries: list[tuple[tuple[str, str], Poly]] = []
     for k, (g, nexp) in enumerate(nf.two_steps):
         if nexp < 1:
             raise ParameterOutOfRange(f"2-step exponent must be >= 1, got {nexp}")
         gens.append((f"a{k}", g))
         gens.append((f"b{k}", g - 1))
-        entries.append((f"a{k}", f"b{k}", Poly.u(nexp)))
+        entries.append(((f"b{k}", f"a{k}"), Poly.u(nexp)))
     for j, g in enumerate(nf.one_steps):
         gens.append((f"x{j}", g))
-    return build_complex(name, gens, entries)
+    return _complex(name, gens, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +328,11 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
                   for j, p in row.items()}
     d = _mat_mul(_mat_mul(qi_entries, cx.d), q_entries)
 
-    out = build_complex(cx.name, [(g, cx.gradings[g]) for g in gens],
-                        [(s, t, p) for (t, s), p in d.items()])
+    out = _complex(cx.name, [(g, cx.gradings[g]) for g in gens], d.items())
     if not with_iso:
         return out
-    iso = build_chain_map("basis", out, cx, 0,
-                          [(s, t, p) for (t, s), p in q_entries.items()])
-    iso_inv = build_chain_map("basis_inv", cx, out, 0,
-                              [(s, t, p) for (t, s), p in qi_entries.items()])
-    return out, iso, iso_inv
+    return (out, _chain_map("basis", out, cx, 0, q_entries.items()),
+            _chain_map("basis_inv", cx, out, 0, qi_entries.items()))
 
 
 def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
@@ -397,10 +393,8 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
             p = Poly(rng.getrandbits(3))
             if p:
                 h[(v, u)] = p
-    entries = _accumulate(itertools.chain(
+    return _chain_map(f"rand{seed}", cx, cx, 0, itertools.chain(
         scaled, _mat_mul(cx.d, h).items(), _mat_mul(h, cx.d).items()))
-    return build_chain_map(f"rand{seed}", cx, cx, 0,
-                           [(s, t, p) for (t, s), p in entries.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,24 @@ from __future__ import annotations
 import pytest
 
 from uchain.complexes import (ChainMap, GradedComplex, LaurentChain,
-                              _positional, dual, tensor, tensor_map)
+                              _chain_map, dual, relabel, tensor, tensor_map)
 from uchain.errors import InfinityNotZero
 from uchain.homology import _delta_inverse
 from uchain.lefschetz import (_check_endomorphism, cotrace_map, phi_dual,
                               trace_map)
 from uchain.normal_form import reduce_complex
+
+
+def _positional(cx: GradedComplex, *maps: ChainMap) -> tuple:
+    """``cx`` with generator k renamed ``"k"``, then each endomorphism of
+    ``cx`` moved along onto the renamed complex.  Ids derived from digit
+    strings cannot collide."""
+    pcx = relabel(cx, {g: str(k) for k, g in enumerate(cx.generators)})
+    ren = dict(zip(cx.generators, pcx.generators))
+    return (pcx, *(_chain_map(fm.name, pcx, pcx, fm.degree,
+                              (((ren[t], ren[s]), p)
+                               for (t, s), p in fm.entries.items()))
+                   for fm in maps))
 
 
 def _literal_delta_quantity(cx: GradedComplex, f: ChainMap, *,

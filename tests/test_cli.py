@@ -26,11 +26,13 @@ from uchain.complexes import (
     cone,
     dual,
     identity_map,
+    map_add,
     map_to_text,
     parse_chain_map,
     parse_complex,
     relabel,
 )
+from uchain.gf2 import rank
 from uchain.homology import mapping_torus_betti
 from uchain.lefschetz import delta_quantity, verify_proposition
 from uchain.normal_form import (
@@ -40,6 +42,8 @@ from uchain.normal_form import (
     realize,
 )
 from uchain.scalars import Poly
+
+from conftest import _positional
 
 TWO_STEP_3 = """\
 complex two
@@ -460,6 +464,32 @@ def test_mapping_torus_on_a_shifted_looking_name(workdir, capsys):
     assert outs == ['{"betti":{"0":1,"1":2,"2":1}}\n'] * 2
 
 
+def test_pairing_check_and_mapping_torus_build_no_tensor_cone_or_relabel(
+        workdir, capsys, monkeypatch):
+    # the two numeric verbs work on generator positions: with every binding
+    # of tensor, cone and relabel refusing, they still print their bytes
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a complex with derived names")
+
+    for name, module in list(sys.modules.items()):
+        if name == "uchain" or name.startswith("uchain."):
+            for attr in ("tensor", "cone", "relabel"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    (workdir / "collide.cx").write_text(COLLIDE)
+    assert _run(capsys, ["pairing-check", str(workdir / "collide.cx")]) == \
+        (0, '{"dimension":3,"invertible":true,"matrix_rank":3,'
+            '"trace_cotrace_ok":true}\n')
+    for names in (("x", "x[1]"), ("p", "q")):
+        (workdir / "s.cx").write_text(SHIFTED.format(*names))
+        (workdir / "s.map").write_text(SHIFTED_ID.format(*names))
+        files = [str(workdir / "s.cx"), str(workdir / "s.map")]
+        assert _run(capsys, ["mapping-torus", *files]) == \
+            (0, '{"betti":{"0":1,"1":2,"2":1}}\n')
+    with pytest.raises(AssertionError, match="derived names"):
+        main(["cone", files[0], files[0], files[1]])
+
+
 def test_cone_output_keeps_input_names_so_a_shifted_clash_exits_one(workdir,
                                                                     capsys):
     (workdir / "s.cx").write_text(SHIFTED.format("x", "x[1]"))
@@ -528,6 +558,56 @@ def test_numbers_do_not_depend_on_generator_names(literal_delta_quantity,
                          [(ren[s], ren[t], p) for (t, s), p in f.entries.items()])
     assert _numbers(rcx, rf, literal_delta_quantity) == \
         _numbers(cx, f, literal_delta_quantity)
+
+
+def _reference_torus_betti(cy: GradedComplex, phi: ChainMap) -> dict[int, int]:
+    """Mapping-torus Betti numbers through a literal cone: generators
+    renamed to positions, cone(id + phi), its boundary read back as bit
+    columns."""
+    pcy, pphi = _positional(cy, phi)
+    torus = cone(map_add(identity_map(pcy), pphi))
+    idx = torus.index()
+    bcol: dict[str, int] = {}
+    for t, s in torus.d:
+        bcol[s] = bcol.get(s, 0) ^ (1 << idx[t])
+    by_grading: dict[int, list[str]] = {}
+    for g in torus.generators:
+        by_grading.setdefault(torus.gradings[g], []).append(g)
+    return {gr: len(gens) - rank(bcol.get(g, 0) for g in gens)
+            - rank(bcol.get(g, 0) for g in by_grading.get(gr + 1, ()))
+            for gr, gens in sorted(by_grading.items())}
+
+
+def _at_u_one(cx: GradedComplex, f: ChainMap) -> tuple[GradedComplex, ChainMap]:
+    """d and f with U set to 1: U has degree 0, so U = 1 is a graded ring
+    map and d^2 = 0 and the chain relation survive.  Unlike U = 0, which
+    kills every entry of a torsion complex, it keeps the entries with an
+    odd number of terms."""
+    def at1(p: Poly) -> int:
+        return bin(p.bits).count("1") & 1
+
+    u1 = build_complex(cx.name, [(g, cx.gradings[g]) for g in cx.generators],
+                       [(s, t, Poly(1)) for (t, s), p in cx.d.items() if at1(p)])
+    return u1, build_chain_map(f.name, u1, u1, 0,
+                               [(s, t, Poly(1)) for (t, s), p in f.entries.items()
+                                if at1(p)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       names=st.lists(_DERIVED_LOOKING, min_size=8, max_size=8, unique=True))
+@example(seed=3, names=["x", "x[1]", "a.b", "c", "a", "b.c", "a*", "a[1][1]"])
+def test_mapping_torus_betti_matches_a_literal_cone(seed, names):
+    rng = random.Random(seed)
+    nf = random_normal_form(rng, max_rank=8, max_exponent=3, one_steps=True)
+    cx = random_basis_change(realize(nf), seed=seed + 1, steps=rng.randint(0, 15))
+    f = random_chain_map(cx, seed + 2)
+    ren = dict(zip(cx.generators, names))
+    rcx = relabel(cx, ren)
+    rf = build_chain_map(f.name, rcx, rcx, 0,
+                         [(ren[s], ren[t], p) for (t, s), p in f.entries.items()])
+    for cy, phi in (_mod_u(rcx, rf), _at_u_one(rcx, rf)):
+        assert mapping_torus_betti(cy, phi) == _reference_torus_betti(cy, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -351,8 +351,9 @@ def test_tensor_map_acts_factorwise():
 
 
 def test_derived_constructions_pass_the_checks_they_skip():
-    # Derived objects are built without the checks build_complex and
-    # build_chain_map run; every one of them must still pass those checks.
+    # Derived objects, and the seeded generators' outputs, are built
+    # without the checks build_complex and build_chain_map run; every one
+    # of them must still pass those checks.
     from uchain.complexes import _validate_chain_map, _validate_complex
     from uchain.lefschetz import cotrace_map, phi, phi_dual, trace_map
 
@@ -360,8 +361,9 @@ def test_derived_constructions_pass_the_checks_they_skip():
         rng = random.Random(seed)
         nf = random_normal_form(rng, max_rank=6, max_exponent=4,
                                 one_steps=seed % 2 == 0)
-        cx = random_basis_change(realize(nf, name=f"c{seed}"), seed=seed + 1,
-                                 steps=rng.randint(0, 15))
+        base = realize(nf, name=f"c{seed}")
+        cx, iso, iso_inv = random_basis_change(
+            base, seed=seed + 1, steps=rng.randint(0, 15), with_iso=True)
         other = _random_complex(seed + 200, 4)
         f = random_chain_map(cx, seed=seed + 300)
         g = random_chain_map(cx, seed=seed + 400)
@@ -370,8 +372,9 @@ def test_derived_constructions_pass_the_checks_they_skip():
         renamed = relabel(other, {x: x + "'" for x in other.generators})
         complexes = [dcx, tensor(cx, dcx), tensor(cx, other), cone(f),
                      direct_sum(cx, renamed), shift(cx, 3), renamed,
-                     unit_complex()]
-        maps = [identity_map(cx), zero_map(cx, dcx, 1), scalar_map(cx, Poly.u(2)),
+                     unit_complex(), base, cx, other]
+        maps = [f, g, h, iso, iso_inv,
+                identity_map(cx), zero_map(cx, dcx, 1), scalar_map(cx, Poly.u(2)),
                 tensor_map(f, h), tensor_map(f, identity_map(dcx)),
                 compose(f, g), map_add(f, g), phi(cx), phi_dual(cx),
                 trace_map(cx), cotrace_map(cx)]

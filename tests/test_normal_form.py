@@ -194,8 +194,8 @@ def test_random_chain_map_is_deterministic():
 
 
 def test_random_chain_map_validates_the_chain_relation():
-    # construction re-verifies d f = f d, so surviving construction is the
-    # assertion; spot-check the matrices anyway
+    # construction does not re-verify d f = f d (the map is a chain map by
+    # construction), so check the matrices here
     from uchain.complexes import _mat_mul
     for seed in range(20):
         _, cx = _random_pair(seed)
