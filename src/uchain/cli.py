@@ -16,12 +16,12 @@ import json
 import sys
 from pathlib import Path
 
-from .complexes import (GradedComplex, cone, complex_to_text, dual,
-                        parse_chain_map, parse_complex)
+from .complexes import (GradedComplex, _dual_id, cone, complex_to_text,
+                        dual, parse_chain_map, parse_complex)
 from .errors import InfinityNotZero, ParseError, UChainError
 from .gf2 import rank
-from .homology import (_h_plus, f2_pairing, h_infinity, h_minus, h_plus,
-                       h_red, mapping_torus_betti)
+from .homology import (_h_plus, h_infinity, h_minus, h_plus, h_red,
+                       mapping_torus_betti)
 from .lefschetz import (delta_quantity, lefschetz_by_grading,
                         verify_proposition)
 from .normal_form import reduce_complex
@@ -153,12 +153,16 @@ def _cmd_pairing_check(args) -> tuple[dict, int]:
             "finite plus flavor")
     plus = _h_plus(red)
     red_minus = h_red(dual(cx), "minus")
+    # f2_pairing by index: bit j of holds[term] says dual class j has term
+    holds: dict[tuple[str, int], int] = {}
+    for j, y in enumerate(red_minus.basis):
+        for term in y.terms:
+            holds[term] = holds.get(term, 0) | 1 << j
     rows = []
     for x in plus.basis:
         bits = 0
-        for j, y in enumerate(red_minus.basis):
-            if f2_pairing(x, y):
-                bits |= 1 << j
+        for g, i in x.terms:
+            bits ^= holds.get((_dual_id(g), -1 - i), 0)
         rows.append(bits)
     matrix_rank = rank(rows)
     dim = plus.f2_dimension

@@ -200,44 +200,30 @@ def h_red(cx: GradedComplex, side: str) -> HomologyPresentation:
 # ---------------------------------------------------------------------------
 # class coordinates against the reduction
 #
-# Flat F2 coordinates pack one bit per (2-step k, power): bit
-# offsets[k]+j is U^j times the torsion generator on the minus side, and
-# the class of U^-(n-j) times the a-column on the plus side, top-down.
-# The connecting map is block-diagonal in these coordinates, and on a
-# 2-step a -> U^n u b it sends U^-(n-j) a to U^j u b, so block k is
-# multiplication by the unit u modulo U^n.
+# The class of a polynomial cycle in the torsion of the minus flavor has
+# one coordinate per 2-step a -> U^n u b: the cycle's g_b coefficient (row
+# b of Q^-1 against it), a polynomial modulo U^n.  The connecting map
+# sends the plus class of U^-n p a to d(U^-n p g_a) = p u g_b, so summand
+# by summand it is multiplication by the unit u on F2[U]/U^n.
 
 
-def _torsion_coords(red: Reduction, chain: LaurentChain) -> int:
-    """Flat coordinates of a polynomial cycle's class in the torsion part
-    of the minus flavor."""
+def _torsion_coords(red: Reduction, chain: LaurentChain) -> list[int]:
+    """Class of a polynomial cycle in the torsion part of the minus
+    flavor: per 2-step, its g_b coefficient modulo U^n."""
     cx = red.complex
     idx = cx.index()
     y = [0] * cx.rank
     for g, e in chain.terms:
         y[idx[g]] |= 1 << e
     _, qi = red.series_transform()
-    out = 0
-    for k, r in enumerate(red.two_steps):
+    out = []
+    for r in red.two_steps:
         acc = 0
         for j, bits in qi[r.b].items():
             if y[j]:
                 acc ^= _pmul(bits, y[j])
-        out |= (acc & ((1 << r.exponent) - 1)) << red.offsets[k]
+        out.append(acc & ((1 << r.exponent) - 1))
     return out
-
-
-def _plus_rep(red: Reduction, bits: int) -> LaurentChain:
-    """Canonical purely-negative representative with given plus coordinates."""
-    q, _ = red.series_transform()
-    acc: set[tuple[str, int]] = set()
-    for k, r in enumerate(red.two_steps):
-        n = r.exponent
-        block = bits >> red.offsets[k] & ((1 << n) - 1)
-        for depth in range(1, n + 1):
-            if block >> (n - depth) & 1:
-                acc ^= _negative_shift(red, q[r.a], depth).terms
-    return LaurentChain(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +251,13 @@ def delta(cx: GradedComplex, chain: LaurentChain) -> LaurentChain:
 def delta_inverse(cx: GradedComplex, chain: LaurentChain) -> LaurentChain:
     """Inverse of the connecting map on a polynomial cycle's class.
 
-    Defined only when the infinity flavor vanishes (no 1-steps).  Block k
-    of the connecting map is multiplication by the unit u modulo U^n in
-    flat coordinates, so the preimage's block is the input's times the
-    series of u^-1 modulo U^n.  Emits the canonical purely-negative
-    representative and re-checks through the zig-zag that its image is
-    homologous to the input.
+    Defined only when the infinity flavor vanishes (no 1-steps).  On a
+    2-step a -> U^n u b the connecting map is multiplication by u modulo
+    U^n, so the input's g_b coefficient t has preimage the plus class of
+    U^-n p a with p = t u^-1 modulo U^n.  Its canonical purely-negative
+    representative is the negative part of U^-n p times the a-column of
+    Q, one product per summand; the summands' parts add up.  Re-checks
+    through the zig-zag that the image is homologous to the input.
     """
     return _delta_inverse(reduce_complex(cx), chain)
 
@@ -289,13 +276,15 @@ def _delta_inverse(red: Reduction, chain: LaurentChain) -> LaurentChain:
     if cx.boundary_chain(chain):
         raise NotACycle("chain has nonzero boundary")
     target = _torsion_coords(red, chain)
-    plus_bits = 0
-    for k, r in enumerate(red.two_steps):
-        mask = (1 << r.exponent) - 1
-        block = target >> red.offsets[k] & mask
-        u_inv = r.unit.inverse().series(r.exponent)
-        plus_bits |= (_pmul(block, u_inv) & mask) << red.offsets[k]
-    w = _plus_rep(red, plus_bits)
+    q, _ = red.series_transform()
+    terms: set[tuple[str, int]] = set()
+    for r, t in zip(red.two_steps, target):
+        if t:
+            n = r.exponent
+            p = _pmul(t, r.unit.inverse().series(n)) & ((1 << n) - 1)
+            col = {i: _pmul(p, c) for i, c in q[r.a].items()}
+            terms ^= _negative_shift(red, col, n).terms
+    w = LaurentChain(terms)
     back = cx.boundary_chain(w)
     if back.negative_part() or _torsion_coords(red, back) != target:
         raise NotInImage(
@@ -401,6 +390,9 @@ class _Window:
         width * (generators in grading + 1) columns of the grading above,
         which are those columns less the cycles among them."""
         width = self.width if width is None else width
+        if width > self.width:
+            raise CrossCheckMismatch(
+                f"width {width} reads past the window's width {self.width}")
         top = 1 << width * self.rank
         cycles = self._eliminate(grading)[0]
         above, rows = self._eliminate(grading + 1)

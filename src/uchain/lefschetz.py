@@ -177,8 +177,8 @@ def _stable_traces(window: _Window, f_shifts: list[list[int]], small: int,
 def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
     """Per-grading traces of the induced map on the plus-flavor homology,
     computed on truncation windows and stability-checked at double width.
-    The four windows share their top, so each is the prefix of its width
-    of the deepest, which is eliminated once per grading."""
+    The windows share their top, so each is the prefix of its width of the
+    deepest, which is eliminated once per grading."""
     _check_endomorphism(cx, f)
     red = reduce_complex(cx)
     if red.one_steps:
@@ -188,6 +188,13 @@ def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
     n_max = red.normal_form.max_exponent
     small = n_max + 1
     window = _Window(cx, 2 * small + n_max)
+    # certificate of n_max and of no 1-steps: the window of width w is
+    # C/U^w, of homology dimension 2 min(n, w) per 2-step and w per 1-step
+    dims = [sum(window.homology(g, w).dim for g in window.gradings)
+            for w in (n_max, small)]
+    if dims[0] != dims[1]:
+        raise CrossCheckMismatch(f"window homology grew past width {n_max}: "
+                                 "wrong maximal exponent, or a 1-step")
     f_shifts = window.shifts(f._cols)
     first = _stable_traces(window, f_shifts, small, small + n_max)
     second = _stable_traces(window, f_shifts, 2 * small, 2 * small + n_max)

@@ -106,13 +106,7 @@ class Reduction:
         self._series: tuple[list[dict[int, int]], list[dict[int, int]]] | None = None
         self._exact: tuple[list[dict[int, LocalScalar]],
                            list[dict[int, LocalScalar]]] | None = None
-        # flat torsion coordinate layout: one bit per (summand, power)
-        self.offsets: list[int] = []
-        total = 0
-        for r in self.two_steps:
-            self.offsets.append(total)
-            total += r.exponent
-        self.torsion_dim: int = total
+        self.torsion_dim: int = sum(r.exponent for r in self.two_steps)
 
     @property
     def normal_form(self) -> NormalForm:

@@ -346,6 +346,30 @@ def test_map_with_wrong_declared_source_exits_two(workdir, capsys):
     assert json.loads(out)["error"]["kind"] == "ComplexMismatch"
 
 
+@pytest.mark.parametrize("complex_text, map_text, code, payload", [
+    ("# nothing but a comment\n", ID_MAP, 3,
+     '{"detail":"empty complex file","kind":"ParseError"}'),
+    (TWO_STEP_3, "\n# nothing but a comment\n", 3,
+     '{"detail":"empty map file","kind":"ParseError"}'),
+    (TWO_STEP_3, ID_MAP.replace("source two", "source"), 3,
+     '{"detail":"line 2: expected \'source <name>\' (at \'source\')",'
+     '"kind":"ParseError"}'),
+    (TWO_STEP_3, ID_MAP.replace("degree 0", "degree 0 1"), 3,
+     '{"detail":"line 4: expected \'degree <int>\' (at \'degree 0 1\')",'
+     '"kind":"ParseError"}'),
+    (TWO_STEP_3, ID_MAP.replace("target two", "target other"), 2,
+     '{"detail":"map declares target \'other\' but was bound to complex '
+     '\'two\'","kind":"ComplexMismatch"}'),
+])
+def test_input_errors_print_their_exact_payload(workdir, capsys, complex_text,
+                                                map_text, code, payload):
+    (workdir / "in.cx").write_text(complex_text)
+    (workdir / "in.map").write_text(map_text)
+    assert _run(capsys, ["delta-quantity", str(workdir / "in.cx"),
+                         str(workdir / "in.map")]) == (
+        code, '{"error":' + payload + "}\n")
+
+
 @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
 def test_integers_outside_the_grammar_exit_three(workdir, capsys, token):
     # int() alone would read these as 10, 1 and 1 (an Arabic-Indic digit)

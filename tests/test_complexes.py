@@ -335,6 +335,17 @@ def test_map_add_cancels_mod_two():
     assert z.entries == {}
 
 
+def test_map_add_rejects_other_complexes_and_other_degrees():
+    cx = _two_step(1)
+    other = build_complex("pt", [("x", 0)])
+    with pytest.raises(ComplexMismatch,
+                       match="map sum needs equal sources and targets"):
+        map_add(identity_map(cx), zero_map(cx, other))
+    with pytest.raises(DegreeMismatch,
+                       match="map sum needs equal degrees, got 0 and 1"):
+        map_add(identity_map(cx), zero_map(cx, cx, degree=1))
+
+
 def test_scalar_map_multiplies_every_generator():
     cx = _two_step(2)
     m = scalar_map(cx, Poly.u(1))

@@ -19,6 +19,7 @@ from uchain.complexes import (
     identity_map,
     relabel,
     tensor,
+    tensor_map,
     zero_map,
 )
 from uchain.errors import (
@@ -28,13 +29,16 @@ from uchain.errors import (
     InfinityNotZero,
     NotACycle,
     NotACycleInPlus,
+    NotInImage,
     NotUFree,
     ParameterOutOfRange,
     RankTooLarge,
 )
-from uchain.gf2 import Span, rank
+from uchain.gf2 import Span, rank, set_bits
 from uchain.homology import (
     _Window,
+    _delta_inverse,
+    _exact_at,
     _les_at_window,
     chain_to_json,
     delta,
@@ -47,15 +51,18 @@ from uchain.homology import (
     les_exactness_check,
     mapping_torus_betti,
 )
+from uchain.lefschetz import cotrace_map, phi_dual
 from uchain.normal_form import (
     NormalForm,
+    Reduction,
     classify,
     random_basis_change,
     random_chain_map,
     random_normal_form,
     realize,
+    reduce_complex,
 )
-from uchain.scalars import Poly
+from uchain.scalars import LocalScalar, Poly, _pmul
 
 from f2_reference import (QuotientBasis, chain_of, greedy_window_homology,
                           kernel_combos, mask_of, solve)
@@ -442,6 +449,111 @@ def test_delta_inverse_rejects_non_cycles():
         delta_inverse(cx, LaurentChain.of(("nope", 0)))
 
 
+def _flat_delta_inverse(red: Reduction, chain: LaurentChain) -> LaurentChain:
+    """Reference delta-inverse in flat F2 coordinates, one bit per
+    (2-step k, power): bit offset_k + j of the input's coordinates is U^j
+    times g_b, and of the preimage's the class of U^-(n-j) times the
+    a-column, each added as its own negative shift.  Inputs must be
+    polynomial cycles; the library checks those."""
+    cx = red.complex
+    idx = cx.index()
+    q, qi = red.series_transform()
+    offsets, total = [], 0
+    for r in red.two_steps:
+        offsets.append(total)
+        total += r.exponent
+    y = [0] * cx.rank
+    for g, e in chain.terms:
+        y[idx[g]] |= 1 << e
+    flat = 0
+    for k, r in enumerate(red.two_steps):
+        acc = 0
+        for j, bits in qi[r.b].items():
+            acc ^= _pmul(bits, y[j])
+        flat |= (acc & ((1 << r.exponent) - 1)) << offsets[k]
+    terms: set[tuple[str, int]] = set()
+    for k, r in enumerate(red.two_steps):
+        n = r.exponent
+        mask = (1 << n) - 1
+        block = _pmul(flat >> offsets[k] & mask,
+                      r.unit.inverse().series(n)) & mask
+        for depth in range(1, n + 1):
+            if block >> (n - depth) & 1:
+                for row, bits in q[r.a].items():
+                    terms ^= {(cx.generators[row], e - depth)
+                              for e in set_bits(bits & ((1 << depth) - 1))}
+    return LaurentChain(terms)
+
+
+def _assert_matches_flat_delta_inverse(cx: GradedComplex,
+                                       chains: list[LaurentChain]) -> None:
+    red = reduce_complex(cx)
+    for y in chains:
+        assert _delta_inverse(red, y) == _flat_delta_inverse(red, y)
+
+
+def _cotrace_cycles(cx: GradedComplex, seed: int) -> tuple[GradedComplex,
+                                                           list[LaurentChain]]:
+    """C tensor dual(C), its cotrace cycle, and that cycle moved by
+    f tensor phi-dual (the input of the swapped duality composite)."""
+    pair = tensor(cx, dual(cx))
+    z = cotrace_map(cx).apply_chain(LaurentChain.of(("1", 0)))
+    move = tensor_map(random_chain_map(cx, seed), phi_dual(cx))
+    return pair, [z, move.apply_chain(z)]
+
+
+def _random_cycle(cx: GradedComplex, rng: random.Random) -> LaurentChain:
+    """A polynomial cycle off the canonical representatives: a random sum
+    of U-shifted minus basis classes plus the boundary of a random chain."""
+    y = LaurentChain.zero()
+    for b in h_red(cx, "minus").basis:
+        if rng.random() < 0.5:
+            y += b.times_u(rng.randint(0, 3))
+    noise = LaurentChain((g, rng.randint(0, 6)) for g in cx.generators
+                         if rng.random() < 0.5)
+    return y + cx.boundary_chain(noise)
+
+
+def test_delta_inverse_matches_the_flat_coordinate_reference():
+    for n in (1000, 1201):
+        cx = build_complex("deep", [("a", 1), ("b", 0)],
+                           [("a", "b", Poly.of(n, n + 1))])
+        _assert_matches_flat_delta_inverse(cx, [
+            LaurentChain(("b", e) for e in range(0, n, 2)),
+            LaurentChain.of(("b", n - 1)), LaurentChain.of(("b", 0))])
+    for seed in range(20):
+        cx = _torsion_complex(seed, max_rank=4, max_exponent=4)
+        _assert_matches_flat_delta_inverse(*_cotrace_cycles(cx, seed))
+        rng = random.Random(seed)
+        _assert_matches_flat_delta_inverse(
+            cx, list(h_red(cx, "minus").basis)
+            + [_random_cycle(cx, rng) for _ in range(5)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_delta_inverse_matches_the_flat_reference_under_hypothesis(seed: int):
+    cx = _torsion_complex(seed, max_rank=4, max_exponent=4)
+    _assert_matches_flat_delta_inverse(*_cotrace_cycles(cx, seed))
+    rng = random.Random(seed)
+    _assert_matches_flat_delta_inverse(
+        cx, [_random_cycle(cx, rng) for _ in range(3)])
+
+
+def test_a_wrong_per_summand_product_fails_the_zig_zag_recheck(monkeypatch):
+    # a -> U^3 (1 + U) b: with u in place of u^-1 = 1 + U + U^2 mod U^3 the
+    # preimage of b is U^-3 a + U^-2 a, whose image (1 + U^2) b is not b
+    cx = build_complex("unit", [("a", 1), ("b", 0)],
+                       [("a", "b", Poly.of(3, 4))])
+    red = reduce_complex(cx)
+    y = LaurentChain.of(("b", 0))
+    assert _delta_inverse(red, y) == LaurentChain(
+        ("a", e) for e in (-3, -2, -1))
+    monkeypatch.setattr(LocalScalar, "inverse", lambda self: self)
+    with pytest.raises(NotInImage):
+        _delta_inverse(red, y)
+
+
 # ---------------------------------------------------------------------------
 # exactness of the three-flavor sequence
 
@@ -762,6 +874,22 @@ def test_windowed_connecting_map_must_land_in_the_subcomplex():
     window._d = [[cx.rank] for _ in cx.generators]
     with pytest.raises(CrossCheckMismatch, match="left the subcomplex"):
         _les_at_window(window, 8)
+
+
+def test_exactness_needs_the_composite_to_vanish():
+    # the map in hits the first basis vector, which the map out keeps, so
+    # the composite is nonzero though image and kernel have equal dimension
+    assert _exact_at([0b01], [0b1, 0], 2) == {
+        "image": 1, "kernel": 1, "exact": False}
+    assert _exact_at([0b10], [0b1, 0], 2)["exact"] is True
+
+
+def test_window_homology_refuses_a_width_past_its_own():
+    window = _Window(_two_step(3), 5)
+    assert window.homology(1, 5).reps == window.homology(1).reps
+    with pytest.raises(CrossCheckMismatch,
+                       match="width 6 reads past the window's width 5"):
+        window.homology(1, 6)
 
 
 def test_exactness_check_refuses_large_ranks():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -50,11 +51,13 @@ from uchain.lefschetz import (
 )
 from uchain.normal_form import (
     NormalForm,
+    Reduction,
     classify,
     random_basis_change,
     random_chain_map,
     random_normal_form,
     realize,
+    reduce_complex,
 )
 from uchain.scalars import P1, Poly
 
@@ -423,9 +426,10 @@ def test_stable_traces_match_the_chain_round_trip_under_hypothesis(seed: int):
 
 
 def test_small_windows_build_no_class_coordinates(monkeypatch):
-    """The oracle reads only the reps of the small windows' homology, so
-    their quotients never build the span that ``coords`` needs; the deep
-    windows, which are queried, do."""
+    """The oracle reads only the reps of the small windows' homology and
+    the dimensions of the certificate's, so their quotients never build
+    the span that ``coords`` needs; the deep windows, which are queried,
+    do."""
     built = []
     homology = _Window.homology
 
@@ -440,11 +444,51 @@ def test_small_windows_build_no_class_coordinates(monkeypatch):
         small = classify(cx).max_exponent + 1
         built.clear()
         lefschetz_by_grading(cx, random_chain_map(cx, seed=seed + 11))
-        shallow = [q for w, q in built if w in (small, 2 * small)]
-        deep = [q for w, q in built if w not in (small, 2 * small)]
+        # width small - 1 is the certificate's read, of dimensions only
+        shallow = [q for w, q in built if w in (small - 1, small, 2 * small)]
+        deep = [q for w, q in built
+                if w not in (small - 1, small, 2 * small)]
         assert shallow and deep
         assert all("_span" not in q.__dict__ for q in shallow)
         assert all("_span" in q.__dict__ for q in deep if q.reps)
+
+
+def _assert_certificate_refuses(cx: GradedComplex, f: ChainMap,
+                                two_steps, one_steps) -> None:
+    """The oracle, shown a reduction of ``cx`` with these records instead
+    of the true ones, must refuse it."""
+    red = reduce_complex(cx)
+    fake = Reduction(cx, two_steps, one_steps, red.cancelled_pairs, red.ops)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(lefschetz, "reduce_complex", lambda _: fake)
+        with pytest.raises(CrossCheckMismatch, match="window homology grew past width"):
+            lefschetz_by_grading(cx, f)
+
+
+@pytest.mark.parametrize("wrong", [lambda n: n - 1, lambda n: n // 2,
+                                   lambda n: 1], ids=["n-1", "n//2", "1"])
+def test_the_oracle_certifies_the_maximal_exponent(wrong):
+    checked = 0
+    for seed in range(30):
+        cx = _torsion_complex(seed, max_rank=6, max_exponent=6)
+        red = reduce_complex(cx)
+        cap = wrong(red.normal_form.max_exponent)
+        if cap != red.normal_form.max_exponent:
+            _assert_certificate_refuses(
+                cx, random_chain_map(cx, seed=seed),
+                [replace(r, exponent=min(r.exponent, cap))
+                 for r in red.two_steps], ())
+            checked += 1
+    assert checked >= 20
+
+
+def test_the_oracle_certifies_that_no_1_step_hides():
+    for seed in range(10):
+        cx = direct_sum(_torsion_complex(seed),
+                        build_complex("pt", [("x", seed % 3 - 1)]))
+        red = reduce_complex(cx)
+        assert red.one_steps
+        _assert_certificate_refuses(cx, identity_map(cx), red.two_steps, ())
 
 
 def test_oracle_catches_a_map_that_leaves_the_stable_subspace():
