@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .complexes import (ChainMap, GradedComplex, _chain_map,
@@ -34,7 +35,6 @@ from .complexes import (ChainMap, GradedComplex, _chain_map,
                         identity_map, map_to_text, tensor, unit_complex)
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, ParameterOutOfRange)
-from .gf2 import Span
 from .homology import _Window
 from .normal_form import (random_basis_change, random_chain_map,
                           random_normal_form, realize, reduce_complex)
@@ -146,30 +146,26 @@ def _stable_traces(window: _Window, f_shifts: list[list[int]], small: int,
     image of H(small window) in H(big window) is exactly the true
     homology, is preserved by f, and the trace is read off there.
 
-    Both windows end at exponent -1, so they are the prefixes of widths
-    ``small`` and ``big`` of ``window``: a small-window class is a
-    big-window mask as it stands, and f (given by ``window.shifts``) acts
-    on it by shifting each generator's bits by its entries' exponents.
+    Both windows end at exponent -1, so the small one is the prefix of
+    width ``small`` of the big one: its cycles are the big window's
+    cycles below bit ``small * rank``, from the same elimination.  A
+    vector's coordinates involve only representatives and boundary rows
+    of top bit at most its own, so the image is spanned by the big
+    window's representatives below that bit, a prefix of its ``reps``,
+    and the trace does not depend on the basis.  f (given by
+    ``window.shifts``) acts on a class by shifting each generator's bits
+    by its entries' exponents, and must map that prefix into itself.
     """
     out: dict[int, int] = {}
     for g in window.gradings:
         hb = window.homology(g, big)
-        stable: list[tuple[int, int]] = []
-        span = Span()
-        for v in window.homology(g, small).reps:
-            c = hb.coords(v)
-            if c is None:
-                raise CrossCheckMismatch("windowed class escaped the larger window")
-            tag = span.count  # express() combos index the add order
-            if span.add(c):
-                stable.append((tag, v))
+        stable = bisect_left(hb.reps, 1 << small * window.rank)
         trace = 0
-        for tag, v in stable:
-            fc = hb.coords(window.map_mask(f_shifts, v))
-            combo = None if fc is None else span.express(fc)
-            if combo is None:
+        for k in range(stable):
+            fc = hb.coords(window.map_mask(f_shifts, hb.reps[k]))
+            if fc is None or fc >> stable:
                 raise CrossCheckMismatch("induced map left the stable subspace")
-            trace ^= combo >> tag & 1
+            trace ^= fc >> k & 1
         out[g] = trace
     return out
 
@@ -178,7 +174,10 @@ def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
     """Per-grading traces of the induced map on the plus-flavor homology,
     computed on truncation windows and stability-checked at double width.
     The windows share their top, so each is the prefix of its width of the
-    deepest, which is eliminated once per grading."""
+    deepest, which is eliminated once per grading.  Classes are read at
+    widths small + n_max and 2 * small + n_max only; small and 2 * small
+    mark where their stable prefixes end, and the certificate reads
+    dimensions at n_max and small."""
     _check_endomorphism(cx, f)
     red = reduce_complex(cx)
     if red.one_steps:

@@ -183,60 +183,55 @@ def _clear_denominators(coeffs: dict) -> dict:
 def reduce_complex(cx: GradedComplex) -> Reduction:
     """Run the valuation-pivot reduction; see the module docstring."""
     n = cx.rank
-    mat: dict[tuple[int, int], LocalScalar] = {}
-    rows: list[set[int]] = [set() for _ in range(n)]
+    rows: list[dict[int, LocalScalar]] = [{} for _ in range(n)]
     cols: list[set[int]] = [set() for _ in range(n)]
     heap: list[tuple[int, int, int]] = []
     idx = cx.index()
     for (t, s), p in cx.d.items():
         ti, si = idx[t], idx[s]
-        mat[(ti, si)] = LocalScalar(p)
-        rows[ti].add(si)
+        rows[ti][si] = LocalScalar(p)
         cols[si].add(ti)
         heap.append((_val(p.bits), ti, si))
     heapq.heapify(heap)
 
     def put(t: int, s: int, v: LocalScalar) -> None:
         if v.is_zero():
-            if (t, s) in mat:
-                del mat[(t, s)]
-                rows[t].discard(s)
+            if rows[t].pop(s, None) is not None:
                 cols[s].discard(t)
         else:
-            mat[(t, s)] = v
-            rows[t].add(s)
+            rows[t][s] = v
             cols[s].add(t)
             heapq.heappush(heap, (_val(v.num), t, s))
 
     def row_addmul(dst: int, src: int, c: LocalScalar) -> None:
-        for s in list(rows[src]):
-            put(dst, s, mat.get((dst, s), LS0) + c * mat[(src, s)])
+        for s, v in list(rows[src].items()):
+            put(dst, s, rows[dst].get(s, LS0) + c * v)
 
     def col_addmul(dst: int, src: int, c: LocalScalar) -> None:
         for t in list(cols[src]):
-            put(t, dst, mat.get((t, dst), LS0) + c * mat[(t, src)])
+            put(t, dst, rows[t].get(dst, LS0) + c * rows[t][src])
 
     active = set(range(n))
     ops: list[tuple[int, int, LocalScalar]] = []
     two_steps: list[TwoStepRecord] = []
     cancelled = 0
 
-    while mat:
+    while heap:
         v, t, s = heapq.heappop(heap)
-        pivot = mat.get((t, s))
+        pivot = rows[t].get(s)
         if pivot is None or _val(pivot.num) != v:
             continue            # stale key: cleared, or rewritten since
-        for s2 in sorted(rows[t] - {s}):
-            c = mat[(t, s2)] / pivot
+        for s2 in sorted(rows[t].keys() - {s}):
+            c = rows[t][s2] / pivot
             ops.append((s2, s, c))          # g_s2 <- g_s2 + c g_s
             col_addmul(s2, s, c)
             row_addmul(s, s2, c)
         for t2 in sorted(cols[s] - {t}):
-            c = mat[(t2, s)] / pivot
+            c = rows[t2][s] / pivot
             ops.append((t, t2, c))          # g_t <- g_t + c g_t2
             row_addmul(t2, t, c)
             col_addmul(t, t2, c)
-        if rows[t] != {s} or cols[s] != {t} or rows[s] or cols[t]:
+        if rows[t].keys() != {s} or cols[s] != {t} or rows[s] or cols[t]:
             raise CrossCheckMismatch(
                 "pivot pair did not split off; d^2 = 0 should force it")
         put(t, s, LS0)

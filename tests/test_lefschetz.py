@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -399,21 +401,59 @@ def _paired_torsion_complex(seed: int) -> GradedComplex:
                                steps=rng.randint(4, 16))
 
 
-def _assert_stable_traces_match_the_round_trip(cx: GradedComplex,
+def _span_stable_traces(window: _Window, f_shifts: list[list[int]],
+                        small: int, big: int) -> dict[int, int]:
+    """The stable traces read the long way: every class of the small
+    window's own homology is carried into the big window, a ``Span`` of
+    their coordinates keeps the independent ones, tagged by add order,
+    and f's image of each is expressed in that span."""
+    out = {}
+    for g in window.gradings:
+        hb = window.homology(g, big)
+        stable = []
+        span = Span()
+        for v in window.homology(g, small).reps:
+            c = hb.coords(v)
+            assert c is not None
+            tag = span.count
+            if span.add(c):
+                stable.append((tag, v))
+        trace = 0
+        for tag, v in stable:
+            fc = hb.coords(window.map_mask(f_shifts, v))
+            combo = None if fc is None else span.express(fc)
+            assert combo is not None
+            trace ^= combo >> tag & 1
+        out[g] = trace
+    return out
+
+
+def _deep_paired_complex(seed: int, n: int) -> GradedComplex:
+    """Two scrambled 2-steps of one grading, of exponents n and 60..n."""
+    rng = random.Random(seed)
+    g = rng.randint(-2, 2)
+    nf = NormalForm((), ((g, n), (g, rng.randint(60, n))))
+    return random_basis_change(realize(nf), seed=seed + 1,
+                               steps=rng.randint(4, 16))
+
+
+def _assert_stable_traces_match_the_references(cx: GradedComplex,
                                                f: ChainMap) -> None:
     n_max = classify(cx).max_exponent
     small = n_max + 1
     window = _Window(cx, 2 * small + n_max)
     f_shifts = window.shifts(f._cols)
     for depth in (small, 2 * small):
-        assert (lefschetz._stable_traces(window, f_shifts, depth, depth + n_max)
-                == _round_trip_stable_traces(cx, f, depth, depth + n_max))
+        traces = lefschetz._stable_traces(window, f_shifts, depth, depth + n_max)
+        assert traces == _round_trip_stable_traces(cx, f, depth, depth + n_max)
+        assert traces == _span_stable_traces(window, f_shifts, depth,
+                                             depth + n_max)
 
 
 def test_stable_traces_match_the_chain_round_trip():
     for seed in range(20):
         for cx in (_torsion_complex(seed), _paired_torsion_complex(seed)):
-            _assert_stable_traces_match_the_round_trip(
+            _assert_stable_traces_match_the_references(
                 cx, random_chain_map(cx, seed=seed + 11))
 
 
@@ -421,15 +461,37 @@ def test_stable_traces_match_the_chain_round_trip():
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_stable_traces_match_the_chain_round_trip_under_hypothesis(seed: int):
     for cx in (_torsion_complex(seed), _paired_torsion_complex(seed)):
-        _assert_stable_traces_match_the_round_trip(
+        _assert_stable_traces_match_the_references(
             cx, random_chain_map(cx, seed=seed + 11))
 
 
+def test_stable_prefix_matches_the_span_reading():
+    """The prefix of the deep window's representatives below the small
+    width spans the small window's image, so both readings agree."""
+    for seed in range(12):
+        for cx in (_paired_torsion_complex(seed),
+                   _deep_paired_complex(seed, 60 + seed)):
+            for f in (identity_map(cx), random_chain_map(cx, seed=seed + 11)):
+                _assert_stable_traces_match_the_references(cx, f)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n=st.integers(min_value=60, max_value=90), identity=st.booleans())
+def test_stable_prefix_matches_the_span_reading_under_hypothesis(
+        seed: int, n: int, identity: bool):
+    for cx in (_paired_torsion_complex(seed), _deep_paired_complex(seed, n)):
+        f = identity_map(cx) if identity else random_chain_map(cx, seed=seed + 11)
+        _assert_stable_traces_match_the_references(cx, f)
+
+
 def test_small_windows_build_no_class_coordinates(monkeypatch):
-    """The oracle reads only the reps of the small windows' homology and
-    the dimensions of the certificate's, so their quotients never build
-    the span that ``coords`` needs; the deep windows, which are queried,
-    do."""
+    """The oracle reads only the dimensions of the certificate's windows,
+    of widths n_max and small, so their quotients never build the span
+    that ``coords`` needs.  A deep window of width depth + n_max is
+    queried only on its classes below bit depth * rank, its pass's stable
+    prefix, with depth small for the first pass and 2 * small for the
+    second, so it builds the span exactly when it holds such a class."""
     built = []
     homology = _Window.homology
 
@@ -439,18 +501,21 @@ def test_small_windows_build_no_class_coordinates(monkeypatch):
         return quotient
 
     monkeypatch.setattr(_Window, "homology", recording)
+    seen = set()
     for seed in range(5):
         cx = _paired_torsion_complex(seed)
-        small = classify(cx).max_exponent + 1
+        n_max = classify(cx).max_exponent
+        small = n_max + 1
+        depth = {small + n_max: small, 2 * small + n_max: 2 * small}
         built.clear()
         lefschetz_by_grading(cx, random_chain_map(cx, seed=seed + 11))
-        # width small - 1 is the certificate's read, of dimensions only
-        shallow = [q for w, q in built if w in (small - 1, small, 2 * small)]
-        deep = [q for w, q in built
-                if w not in (small - 1, small, 2 * small)]
-        assert shallow and deep
-        assert all("_span" not in q.__dict__ for q in shallow)
-        assert all("_span" in q.__dict__ for q in deep if q.reps)
+        assert {w for w, _ in built} == {n_max, small} | set(depth)
+        for w, q in built:
+            stable = bool(q.reps) and q.reps[0] < 1 << depth.get(w, 0) * cx.rank
+            assert ("_span" in q.__dict__) == stable
+            seen.add((w in depth, bool(q.reps), stable))
+    # deep windows with and without stable classes both occur
+    assert {(True, True, True), (True, True, False)} <= seen
 
 
 def _assert_certificate_refuses(cx: GradedComplex, f: ChainMap,
@@ -500,6 +565,19 @@ def test_oracle_catches_a_map_that_leaves_the_stable_subspace():
     with pytest.raises(CrossCheckMismatch,
                        match="induced map left the stable subspace"):
         lefschetz_by_grading(cx, f)
+
+
+def test_stable_traces_refuse_an_image_past_the_stable_prefix():
+    # a chain map only raises exponents, so it keeps the stable prefix;
+    # shifts carrying the stable class U^-1 a2 down to U^-3 b1, the junk
+    # class of the same grading at width 3, must be refused
+    cx = build_complex("steps", [("a1", 2), ("b1", 1), ("a2", 1), ("b2", 0)],
+                       [("a1", "b1", Poly.u(1)), ("a2", "b2", Poly.u(1))])
+    window = _Window(cx, 5)
+    shifts = [[], [], [2 * cx.rank - 1], []]
+    with pytest.raises(CrossCheckMismatch,
+                       match="induced map left the stable subspace"):
+        lefschetz._stable_traces(window, shifts, 2, 3)
 
 
 def test_quantity_equals_oracle_on_seeded_trials():
@@ -590,6 +668,19 @@ def test_campaign_is_deterministic():
     da, db = a.to_json_dict(), b.to_json_dict()
     da.pop("elapsed_ms"), db.pop("elapsed_ms")
     assert da == db
+
+
+def test_mutated_campaign_bytes_are_pinned():
+    """The fixed-seed campaign with the dual derivative dropped, less its
+    timing, as the bytes a change to trial generation, either side of the
+    comparison or the failure report would move."""
+    payload = verify_proposition(20260814, 500, 8, 6,
+                                 _mutate_phi_dual=True).to_json_dict()
+    del payload["elapsed_ms"]
+    assert len(payload["failures"]) == 142
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "9b9422768dc83b328857f02e3b4f662af646c61ee7b8b1702f55a28b5b8789ca")
 
 
 def test_campaign_results_do_not_depend_on_worker_count():
