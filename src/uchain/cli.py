@@ -28,11 +28,11 @@ from .normal_form import reduce_complex
 from .scalars import _pmul
 
 _FLAVORS = {
-    "minus": lambda cx: h_minus(cx),
-    "infinity": lambda cx: h_infinity(cx),
-    "plus": lambda cx: h_plus(cx),
-    "red-minus": lambda cx: h_red(cx, "minus"),
-    "red-plus": lambda cx: h_red(cx, "plus"),
+    "minus": h_minus,
+    "infinity": h_infinity,
+    "plus": h_plus,
+    "red-minus": functools.partial(h_red, side="minus"),
+    "red-plus": functools.partial(h_red, side="plus"),
 }
 
 

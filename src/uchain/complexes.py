@@ -8,6 +8,9 @@ Conventions, fixed package-wide:
 * Differential and chain-map entries are stored as ``d[(target, source)]``,
   the coefficient of ``target`` in the image of ``source``.  The text
   formats list the same data source-first (``d <source> <target> <poly>``).
+  Past the trust boundary the engine reads them by generator position
+  (k for ``generators[k]``): ``_at`` keys them (target position, source
+  position) in entry order, ``_cols`` by source; names go only to outputs.
 * Everything is characteristic 2: no signs in duals, tensor products or
   mapping cones.
 
@@ -55,9 +58,9 @@ __all__ = [
 
 Entries = dict[tuple[str, str], Poly]
 
-# Sparse entry dicts map (target, source) to a nonzero coefficient.  The
-# helpers below are generic in the coefficient: Poly and LocalScalar both
-# add mod 2 and are falsy exactly when zero.
+# Sparse entry dicts map (target, source), names or positions, to a
+# nonzero coefficient.  The helpers below are generic in the coefficient:
+# Poly and LocalScalar both add mod 2 and are falsy exactly when zero.
 
 
 def _accumulate(pairs: Iterable[tuple[Hashable, Any]],
@@ -76,30 +79,38 @@ def _accumulate(pairs: Iterable[tuple[Hashable, Any]],
     return out
 
 
-def _columns(entries: Mapping[tuple[str, str], Any]) -> dict[str, list]:
+def _columns(entries: Mapping[tuple[Hashable, Hashable], Any]) -> dict:
     """Column view of an entry dict: source -> [(target, value)], in entry
     order."""
-    cols: dict[str, list] = {}
+    cols: dict = {}
     for (t, s), p in entries.items():
         cols.setdefault(s, []).append((t, p))
     return cols
 
 
-def _mat_mul(a: Mapping[tuple[str, str], Poly],
-             b: Mapping[tuple[str, str], Poly]) -> Entries:
+def _mat_mul(a: Mapping[tuple[Hashable, Hashable], Poly],
+             b: Mapping[tuple[Hashable, Hashable], Poly]) -> dict:
     """(a o b)[t, s] = sum_m a[t, m] * b[m, s] on sparse entry dicts."""
     cols = _columns(a)
     return _accumulate(((t, s), p * q) for (m, s), q in b.items()
                        for t, p in cols.get(m, ()))
 
 
-def _apply(cols: Mapping[str, list], chain: LaurentChain) -> LaurentChain:
+def _named(entries: Iterable[tuple[tuple[int, int], Any]],
+           names: Sequence[str]) -> Iterator[tuple[tuple[str, str], Any]]:
+    """Position-keyed (key, value) pairs with the positions' names as keys."""
+    return (((names[t], names[s]), p) for (t, s), p in entries)
+
+
+def _apply(cols: Mapping[int, list], source: GradedComplex,
+           target: GradedComplex, chain: LaurentChain) -> LaurentChain:
     """A differential or chain map, as its column view, applied to a chain."""
+    index, names = source.index(), target.generators
     acc: set[tuple[str, int]] = set()
     for g, e in chain.terms:
-        for t, p in cols.get(g, ()):
+        for t, p in cols.get(index.get(g), ()):
             for k in p.exponents():
-                acc ^= {(t, e + k)}
+                acc ^= {(names[t], e + k)}
     return LaurentChain(acc)
 
 
@@ -189,13 +200,19 @@ class GradedComplex:
         return self.d.get((target, source), P0)
 
     @cached_property
-    def _cols(self) -> dict[str, list]:
-        """Column view of ``d``, built once (no reference back to self)."""
-        return _columns(self.d)
+    def _at(self) -> dict[tuple[int, int], Poly]:
+        """``d`` by position, built once (no reference back to self)."""
+        idx = self.index()
+        return {(idx[t], idx[s]): p for (t, s), p in self.d.items()}
+
+    @cached_property
+    def _cols(self) -> dict[int, list]:
+        """Column view of ``_at``, built once."""
+        return _columns(self._at)
 
     def boundary_chain(self, chain: LaurentChain) -> LaurentChain:
         """Differential applied to a Laurent chain."""
-        return _apply(self._cols, chain)
+        return _apply(self._cols, self, self, chain)
 
     def is_u_free(self) -> bool:
         return all(p.bits <= 1 for p in self.d.values())
@@ -253,9 +270,10 @@ def _validate_complex(cx: GradedComplex) -> None:
             raise GradingViolation(
                 f"d[{t},{s}] nonzero but gr({t})={cx.gradings[t]} != "
                 f"gr({s})-1={cx.gradings[s] - 1}")
-    sq = _mat_mul(cx.d, cx.d)
+    sq = _mat_mul(cx._at, cx._at)
     if sq:
-        (t, s), p = sorted(sq.items())[0]
+        gens = cx.generators
+        t, s, p = min((gens[t], gens[s], p) for (t, s), p in sq.items())
         raise DifferentialNotSquareZero(
             f"d^2[{t},{s}] = {p} on complex {cx.name!r}")
 
@@ -281,12 +299,18 @@ class ChainMap:
         return self.entries.get((target, source), P0)
 
     @cached_property
-    def _cols(self) -> dict[str, list]:
-        """Column view of ``entries``, built once."""
-        return _columns(self.entries)
+    def _at(self) -> dict[tuple[int, int], Poly]:
+        """``entries`` by position, built once."""
+        tidx, sidx = self.target.index(), self.source.index()
+        return {(tidx[t], sidx[s]): p for (t, s), p in self.entries.items()}
+
+    @cached_property
+    def _cols(self) -> dict[int, list]:
+        """Column view of ``_at``, built once."""
+        return _columns(self._at)
 
     def apply_chain(self, chain: LaurentChain) -> LaurentChain:
-        return _apply(self._cols, chain)
+        return _apply(self._cols, self.source, self.target, chain)
 
     def __repr__(self) -> str:
         return f"ChainMap({self.name!r}, degree={self.degree})"
@@ -320,12 +344,12 @@ def _validate_chain_map(fm: ChainMap) -> None:
     # chain relation d_target o f = f o d_source (characteristic 2: no signs
     # even in odd degree)
     diff = _accumulate(itertools.chain(
-        _mat_mul(fm.target.d, fm.entries).items(),
-        _mat_mul(fm.entries, fm.source.d).items()))
+        _mat_mul(fm.target._at, fm._at).items(),
+        _mat_mul(fm._at, fm.source._at).items()))
     if diff:
-        (t, s) = sorted(diff)[0]
-        raise NotAChainMap(
-            f"(d f + f d)[{t},{s}] = {diff[(t, s)]} for map {fm.name!r}")
+        tgens, sgens = fm.target.generators, fm.source.generators
+        t, s, p = min((tgens[t], sgens[s], p) for (t, s), p in diff.items())
+        raise NotAChainMap(f"(d f + f d)[{t},{s}] = {p} for map {fm.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +380,10 @@ def tensor(a: GradedComplex, b: GradedComplex) -> GradedComplex:
     """Tensor product over F2[U]; generator x.y in grading gr(x)+gr(y)."""
     ids = {(x, y): _pair_id(x, y) for x in a.generators for y in b.generators}
     gens = [(s, a.gradings[x] + b.gradings[y]) for (x, y), s in ids.items()]
-    entries: list[tuple[tuple[str, str], Poly]] = []
-    for (x, y), s in ids.items():
-        entries += [((ids[t, y], s), p) for t, p in a._cols.get(x, ())]
-        entries += [((ids[x, t], s), p) for t, p in b._cols.get(y, ())]
+    entries = [((ids[t, y], ids[s, y]), p)
+               for (t, s), p in a.d.items() for y in b.generators]
+    entries += [((ids[x, t], ids[x, s]), p)
+                for x in a.generators for (t, s), p in b.d.items()]
     return _complex(f"{a.name}(x){b.name}", gens, entries)
 
 
@@ -481,29 +505,38 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_complex(text: str) -> GradedComplex:
+def _header(text: str, kind: str) -> tuple[str, list[tuple[int, str]]]:
+    """The name on the ``<kind> <name>`` line, and the content lines after."""
     lines = _content_lines(text)
     if not lines:
-        raise ParseError("empty complex file")
+        raise ParseError(f"empty {kind} file")
     ln, head = lines[0]
     parts = head.split()
-    if len(parts) != 2 or parts[0] != "complex":
-        raise ParseError("expected 'complex <name>'", line=ln, token=head)
-    name = parts[1]
+    if len(parts) != 2 or parts[0] != kind:
+        raise ParseError(f"expected '{kind} <name>'", line=ln, token=head)
+    return parts[1], lines[1:]
+
+
+def _entry(parts: list[str], ln: int, line: str) -> tuple[str, str, Poly]:
+    """A ``<d|f> <source> <target> <poly>`` line as its triple."""
+    if len(parts) < 4:
+        raise ParseError(f"expected '{parts[0]} <source> <target> <poly>'",
+                         line=ln, token=line)
+    return parts[1], parts[2], Poly.parse("".join(parts[3:]), line=ln)
+
+
+def parse_complex(text: str) -> GradedComplex:
+    name, lines = _header(text, "complex")
     gens: list[tuple[str, int]] = []
     entries: list[tuple[str, str, Poly]] = []
-    for ln, line in lines[1:]:
+    for ln, line in lines:
         parts = line.split()
         if parts[0] == "gen":
             if len(parts) != 3:
                 raise ParseError("expected 'gen <id> <grading>'", line=ln, token=line)
             gens.append((parts[1], _integer(parts[2], "grading", ln)))
         elif parts[0] == "d":
-            if len(parts) < 4:
-                raise ParseError("expected 'd <source> <target> <poly>'",
-                                 line=ln, token=line)
-            poly = Poly.parse(" ".join(parts[3:]).replace(" ", ""), line=ln)
-            entries.append((parts[1], parts[2], poly))
+            entries.append(_entry(parts, ln, line))
         else:
             raise ParseError("unknown directive", line=ln, token=parts[0])
     return build_complex(name, gens, entries)
@@ -516,18 +549,11 @@ def parse_chain_map(text: str, source: GradedComplex,
     The declared source/target names must match the supplied complexes;
     binding is by argument, the names are a consistency check only.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty map file")
-    ln, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "map":
-        raise ParseError("expected 'map <name>'", line=ln, token=head)
-    name = parts[1]
+    name, lines = _header(text, "map")
     declared: dict[str, str] = {}
     degree: int | None = None
     entries: list[tuple[str, str, Poly]] = []
-    for ln, line in lines[1:]:
+    for ln, line in lines:
         parts = line.split()
         if parts[0] in ("source", "target"):
             if len(parts) != 2:
@@ -538,42 +564,33 @@ def parse_chain_map(text: str, source: GradedComplex,
                 raise ParseError("expected 'degree <int>'", line=ln, token=line)
             degree = _integer(parts[1], "degree", ln)
         elif parts[0] == "f":
-            if len(parts) < 4:
-                raise ParseError("expected 'f <source> <target> <poly>'",
-                                 line=ln, token=line)
-            poly = Poly.parse(" ".join(parts[3:]).replace(" ", ""), line=ln)
-            entries.append((parts[1], parts[2], poly))
+            entries.append(_entry(parts, ln, line))
         else:
             raise ParseError("unknown directive", line=ln, token=parts[0])
     if degree is None:
         raise ParseError("map file missing 'degree'")
-    if declared.get("source") is not None and declared["source"] != source.name:
-        raise ComplexMismatch(
-            f"map declares source {declared['source']!r} but was bound to "
-            f"complex {source.name!r}")
-    if declared.get("target") is not None and declared["target"] != target.name:
-        raise ComplexMismatch(
-            f"map declares target {declared['target']!r} but was bound to "
-            f"complex {target.name!r}")
+    for role, bound in (("source", source), ("target", target)):
+        if declared.get(role, bound.name) != bound.name:
+            raise ComplexMismatch(f"map declares {role} {declared[role]!r} "
+                                  f"but was bound to complex {bound.name!r}")
     return build_chain_map(name, source, target, degree, entries)
 
 
 def complex_to_text(cx: GradedComplex) -> str:
-    idx = cx.index()
+    gens = cx.generators
     lines = [f"complex {cx.name}"]
-    lines += [f"gen {g} {cx.gradings[g]}" for g in cx.generators]
-    for (t, s), p in sorted(cx.d.items(), key=lambda kv: (idx[kv[0][1]], idx[kv[0][0]])):
-        lines.append(f"d {s} {t} {p}")
+    lines += [f"gen {g} {cx.gradings[g]}" for g in gens]
+    lines += [f"d {gens[s]} {gens[t]} {p}"
+              for s, t, p in sorted((s, t, p) for (t, s), p in cx._at.items())]
     return "\n".join(lines) + "\n"
 
 
 def map_to_text(fm: ChainMap) -> str:
-    sidx = fm.source.index()
-    tidx = fm.target.index()
+    sgens, tgens = fm.source.generators, fm.target.generators
     lines = [f"map {fm.name}",
              f"source {fm.source.name}",
              f"target {fm.target.name}",
              f"degree {fm.degree}"]
-    for (t, s), p in sorted(fm.entries.items(), key=lambda kv: (sidx[kv[0][1]], tidx[kv[0][0]])):
-        lines.append(f"f {s} {t} {p}")
+    lines += [f"f {sgens[s]} {tgens[t]} {p}"
+              for s, t, p in sorted((s, t, p) for (t, s), p in fm._at.items())]
     return "\n".join(lines) + "\n"

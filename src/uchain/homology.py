@@ -157,10 +157,7 @@ def _h_minus(red: Reduction) -> HomologyPresentation:
 
 def h_infinity(cx: GradedComplex) -> HomologyPresentation:
     """Homology after inverting U: free of rank = number of 1-steps."""
-    return _h_infinity(reduce_complex(cx))
-
-
-def _h_infinity(red: Reduction) -> HomologyPresentation:
+    red = reduce_complex(cx)
     free = dict(Counter(g for _, g in red.one_steps))
     basis = tuple(_cleared_column(red, i) for i, _ in red.one_steps)
     dim = None if red.one_steps else 0
@@ -327,7 +324,6 @@ class _Window:
         self.width = width
         self.rank = cx.rank
         self._gens = cx.generators
-        self._index = cx.index()
         self._d = self.shifts(cx._cols)
         # d of generator j as one mask: the term of shift s at bit s + top
         self._templates = []
@@ -343,13 +339,13 @@ class _Window:
         self.gradings = sorted(self._by_grading)
         self._eliminated: dict[int, tuple[list[int], dict[int, int]]] = {}
 
-    def shifts(self, cols: dict[str, list]) -> list[list[int]]:
-        """A column view (source -> [(target, Poly)]) as, per source j, the
-        shift of bit position that carries U^e g_j to each term of its
+    def shifts(self, cols: dict[int, list]) -> list[list[int]]:
+        """A column view by position (j -> [(t, Poly)]) as, per source j,
+        the shift of bit position that carries U^e g_j to each term of its
         image: U^k g_t is a shift by t - j - k * rank."""
-        return [[self._index[t] - j - k * self.rank
-                 for t, p in cols.get(g, ()) for k in set_bits(p.bits)]
-                for j, g in enumerate(self._gens)]
+        return [[t - j - k * self.rank
+                 for t, p in cols.get(j, ()) for k in set_bits(p.bits)]
+                for j in range(self.rank)]
 
     def boundary_mask(self, i: int) -> int:
         """Boundary of basis element i, cut to the window: its generator's
@@ -517,13 +513,12 @@ def mapping_torus_betti(cy: GradedComplex, phi: ChainMap) -> dict[int, int]:
     if phi.source != cy or phi.target != cy:
         raise ComplexMismatch("mapping torus needs an endomorphism of the complex")
     n = cy.rank
-    idx = cy.index()
     bcol = [1 << (n + j) for j in range(n)] + [0] * n     # the id in id + phi
-    for t, s in cy.d:
-        bcol[idx[s]] ^= 1 << idx[t]
-        bcol[n + idx[s]] ^= 1 << (n + idx[t])
-    for t, s in phi.entries:
-        bcol[idx[s]] ^= 1 << (n + idx[t])
+    for t, s in cy._at:
+        bcol[s] ^= 1 << t
+        bcol[n + s] ^= 1 << (n + t)
+    for t, s in phi._at:
+        bcol[s] ^= 1 << (n + t)
     by_grading: dict[int, list[int]] = {}
     gradings = [cy.gradings[g] for g in cy.generators]
     for j, gr in enumerate([g + 1 for g in gradings] + gradings):

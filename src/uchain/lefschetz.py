@@ -29,6 +29,7 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .complexes import (ChainMap, GradedComplex, _chain_map,
                         _dual_id, _mat_mul, _pair_id, complex_to_text, dual,
@@ -110,15 +111,11 @@ def delta_quantity(cx: GradedComplex, f: ChainMap, *,
     if red.one_steps:
         raise InfinityNotZero(
             "free summands survive inverting U; the quantity is undefined")
-    if _phi_dual_override is None:
-        phi_entries = phi(cx).entries
-    else:   # pairing with phi-dual is pairing with its transpose on C
-        name = {_dual_id(g): g for g in cx.generators}
-        phi_entries = {(name[s], name[t]): p for (t, s), p
-                       in _phi_dual_override.entries.items()}
-    idx = cx.index()
-    phi_f = [(idx[t], idx[s], p.bits)
-             for (t, s), p in _mat_mul(phi_entries, f.entries).items()]
+    if _phi_dual_override is None:   # phi(cx), on positions
+        phi_at = {k: dp for k, p in cx._at.items() if (dp := p.derivative())}
+    else:   # phi-dual's transpose on C, g* sitting at g's position
+        phi_at = {(s, t): p for (t, s), p in _phi_dual_override._at.items()}
+    phi_f = [(t, s, p.bits) for (t, s), p in _mat_mul(phi_at, f._at).items()]
     q, qi = red.series_transform()
     total = 0
     for r in red.two_steps:
@@ -286,10 +283,6 @@ def _run_trial(campaign_seed: int, index: int, max_rank: int, max_exponent: int,
     return None
 
 
-def _run_trial_packed(args: tuple) -> TrialFailure | None:
-    return _run_trial(*args)
-
-
 def _pool_size(jobs: int, trials: int) -> int:
     """Worker processes worth starting: no more than the trials to share
     out or the cores to run them on."""
@@ -315,18 +308,18 @@ def verify_proposition(campaign_seed: int, trials: int, max_rank: int,
     if jobs < 1:
         raise ParameterOutOfRange(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
-    work = [(campaign_seed, i, max_rank, max_exponent, _mutate_phi_dual)
-            for i in range(trials)]
+    trial = partial(_run_trial, campaign_seed, max_rank=max_rank,
+                    max_exponent=max_exponent, mutate_phi_dual=_mutate_phi_dual)
     workers = _pool_size(jobs, trials)
     if workers > 1:
         # imported here: concurrent.futures and multiprocessing would cost
         # every import of the package, and only a worker pool needs them
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial_packed, work,
+            results = list(pool.map(trial, range(trials),
                                     chunksize=max(1, trials // (4 * workers))))
     else:
-        results = [_run_trial(*args) for args in work]
+        results = list(map(trial, range(trials)))
     failures = tuple(r for r in results if r is not None)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return VerificationReport(campaign_seed, trials, failures, elapsed_ms)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .complexes import (ChainMap, GradedComplex, _accumulate, _chain_map,
-                        _complex, _mat_mul, identity_map)
+                        _complex, _mat_mul, _named, identity_map)
 from .errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
 from .scalars import (LS0, LS1, P1, LocalScalar, Poly, _pdivmod, _pgcd,
                       _pmul, _val)
@@ -186,9 +186,7 @@ def reduce_complex(cx: GradedComplex) -> Reduction:
     rows: list[dict[int, LocalScalar]] = [{} for _ in range(n)]
     cols: list[set[int]] = [set() for _ in range(n)]
     heap: list[tuple[int, int, int]] = []
-    idx = cx.index()
-    for (t, s), p in cx.d.items():
-        ti, si = idx[t], idx[s]
+    for (ti, si), p in cx._at.items():
         rows[ti][si] = LocalScalar(p)
         cols[si].add(ti)
         heap.append((_val(p.bits), ti, si))
@@ -311,17 +309,16 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
             i, j = rng.sample(rng.choice(groups), 2)
             ops.append((i, j, Poly(rng.getrandbits(3) or 1)))
     q, qi = _replay(len(gens), ops, P1, _addmul)
-    q_entries = {(gens[i], gens[j]): p for j, col in enumerate(q)
-                 for i, p in col.items()}
-    qi_entries = {(gens[i], gens[j]): p for i, row in enumerate(qi)
-                  for j, p in row.items()}
-    d = _mat_mul(_mat_mul(qi_entries, cx.d), q_entries)
+    q_at = {(i, j): p for j, col in enumerate(q) for i, p in col.items()}
+    qi_at = {(i, j): p for i, row in enumerate(qi) for j, p in row.items()}
+    d = _mat_mul(_mat_mul(qi_at, cx._at), q_at)
 
-    out = _complex(cx.name, [(g, cx.gradings[g]) for g in gens], d.items())
+    out = _complex(cx.name, [(g, cx.gradings[g]) for g in gens],
+                   _named(d.items(), gens))
     if not with_iso:
         return out
-    return (out, _chain_map("basis", out, cx, 0, q_entries.items()),
-            _chain_map("basis_inv", cx, out, 0, qi_entries.items()))
+    return (out, _chain_map("basis", out, cx, 0, _named(q_at.items(), gens)),
+            _chain_map("basis_inv", cx, out, 0, _named(qi_at.items(), gens)))
 
 
 def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
@@ -371,19 +368,20 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
         for i, qv in q[t].items():
             left = qv * c
             terms += [((i, j), left * v) for j, v in qi[s].items()]
-    scaled = [((gens[i], gens[j]), Poly(bits)) for (i, j), bits
+    scaled = [(k, Poly(bits)) for k, bits
               in _clear_denominators(_accumulate(terms)).items()]
 
-    h: dict[tuple[str, str], Poly] = {}
-    for u in gens:
-        for v in gens:
-            if cx.gradings[v] != cx.gradings[u] + 1 or rng.random() < 0.5:
+    h: dict[tuple[int, int], Poly] = {}
+    for u, gu in enumerate(gens):
+        for v, gv in enumerate(gens):
+            if cx.gradings[gv] != cx.gradings[gu] + 1 or rng.random() < 0.5:
                 continue
             p = Poly(rng.getrandbits(3))
             if p:
                 h[(v, u)] = p
-    return _chain_map(f"rand{seed}", cx, cx, 0, itertools.chain(
-        scaled, _mat_mul(cx.d, h).items(), _mat_mul(h, cx.d).items()))
+    return _chain_map(f"rand{seed}", cx, cx, 0, _named(itertools.chain(
+        scaled, _mat_mul(cx._at, h).items(), _mat_mul(h, cx._at).items()),
+        gens))
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +401,14 @@ def minor_gcd_check(cx: GradedComplex) -> tuple[int, ...]:
     """
     if cx.rank > 12:
         raise RankTooLarge(f"rank {cx.rank} exceeds the minor-enumeration cap 12")
-    idx = cx.index()
-    ent: dict[tuple[int, int], int] = {}
-    for (t, s), p in cx.d.items():
-        ent[(idx[t], idx[s])] = p.bits
-
+    ent = {k: p.bits for k, p in cx._at.items()}
+    gr = [cx.gradings[x] for x in cx.generators]
     blocks: list[tuple[list[int], list[int]]] = []
-    for g in sorted({cx.gradings[x] for x in cx.generators}):
-        cols = [idx[x] for x in cx.generators if cx.gradings[x] == g]
-        rows = [idx[x] for x in cx.generators if cx.gradings[x] == g - 1]
+    for g in sorted(set(gr)):
+        cols = [j for j, x in enumerate(gr) if x == g]
+        rows = [j for j, x in enumerate(gr) if x == g - 1]
         if cols and rows:
-            blocks.append((sorted(rows), sorted(cols)))
+            blocks.append((rows, cols))
 
     total: list[int | None] = [0]
     for rows, cols in blocks:

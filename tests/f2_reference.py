@@ -22,9 +22,10 @@ def mask_of(window, top: int, chain: LaurentChain) -> int:
     """``chain`` as a mask of ``window`` with top ``top``: bit
     (top - 1 - e) * rank + j is U^e times generator j, and terms outside
     the exponents [top - width, top) or the complex fall out."""
+    index = {g: j for j, g in enumerate(window._gens)}
     m = 0
     for g, e in chain.terms:
-        j = window._index.get(g)
+        j = index.get(g)
         if j is not None and top - window.width <= e < top:
             m |= 1 << ((top - 1 - e) * window.rank + j)
     return m

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -31,6 +32,7 @@ from uchain.complexes import (
     parse_chain_map,
     parse_complex,
     relabel,
+    tensor,
 )
 from uchain.gf2 import rank
 from uchain.homology import mapping_torus_betti
@@ -40,6 +42,7 @@ from uchain.normal_form import (
     random_chain_map,
     random_normal_form,
     realize,
+    reduce_complex,
 )
 from uchain.scalars import Poly
 
@@ -360,6 +363,27 @@ def test_map_with_wrong_declared_source_exits_two(workdir, capsys):
     (TWO_STEP_3, ID_MAP.replace("target two", "target other"), 2,
      '{"detail":"map declares target \'other\' but was bound to complex '
      '\'two\'","kind":"ComplexMismatch"}'),
+    # d^2 fails at [a,z] and [a,y]: the first in name order is reported,
+    # though z comes before y in position order
+    ("complex sq\ngen z 1\ngen y 1\ngen b 0\ngen a -1\n"
+     "d z b U\nd y b U\nd b a U\n", ID_MAP, 1,
+     '{"detail":"d^2[a,y] = U^2 on complex \'sq\'",'
+     '"kind":"DifferentialNotSquareZero"}'),
+    # the chain relation fails at [b,z] and [a,y], in that position order
+    ("complex c\ngen z 1\ngen y 1\ngen b 0\ngen a 0\nd z b U\nd y a U\n",
+     "map m\nsource c\ntarget c\ndegree 0\nf z z 1\nf y y 1\n", 1,
+     '{"detail":"(d f + f d)[a,y] = U for map \'m\'",'
+     '"kind":"NotAChainMap"}'),
+    ("complex big\ngen a 2\ngen b 1\ngen c 0\nd a b U^1048576\nd b c U\n",
+     ID_MAP, 1,
+     '{"detail":"exponent 1048577 exceeds limit 1048576",'
+     '"kind":"ExponentOverflow"}'),
+    ("complex two\ngen a 1\ngen b 0\nd a b\n", ID_MAP, 3,
+     '{"detail":"line 4: expected \'d <source> <target> <poly>\' '
+     '(at \'d a b\')","kind":"ParseError"}'),
+    (TWO_STEP_3, ID_MAP.replace("f b b 1", "f b b"), 3,
+     '{"detail":"line 6: expected \'f <source> <target> <poly>\' '
+     '(at \'f b b\')","kind":"ParseError"}'),
 ])
 def test_input_errors_print_their_exact_payload(workdir, capsys, complex_text,
                                                 map_text, code, payload):
@@ -632,6 +656,41 @@ def test_mapping_torus_betti_matches_a_literal_cone(seed, names):
                          [(ren[s], ren[t], p) for (t, s), p in f.entries.items()])
     for cy, phi in (_mod_u(rcx, rf), _at_u_one(rcx, rf)):
         assert mapping_torus_betti(cy, phi) == _reference_torus_betti(cy, phi)
+
+
+def test_verb_bytes_and_reduction_logs_are_pinned(tmp_path, capsys):
+    """Stdout and exit code of the numeric verbs on 120 seeded files, and
+    the reduction's op log, records and cancelled count on each complex
+    and on every third one's C tensor dual(C): the bytes a change to how
+    the engine reads entries would move.  Every fourth complex has
+    1-steps; mapping-torus also runs on the U = 1 specialization, where
+    it does not stop at the U-freeness check."""
+    c, m, c1, m1 = (str(tmp_path / n) for n in ("c", "m", "c1", "m1"))
+    digest = hashlib.sha256()
+    for k in range(120):
+        rng = random.Random(k)
+        nf = random_normal_form(rng, 10, 6, one_steps=k % 4 == 0)
+        cx = random_basis_change(realize(nf, name=f"pin{k}"),
+                                 seed=rng.getrandbits(32),
+                                 steps=rng.randint(0, 25))
+        f = random_chain_map(cx, rng.getrandbits(32))
+        u1, f1 = _at_u_one(cx, f)
+        for path, text in ((c, complex_to_text(cx)), (m, map_to_text(f)),
+                           (c1, complex_to_text(u1)), (m1, map_to_text(f1))):
+            Path(path).write_text(text)
+        for argv in (["classify", c],
+                     *(["homology", c, "--flavor", flavor] for flavor in
+                       ("minus", "infinity", "plus", "red-minus", "red-plus")),
+                     ["delta-quantity", c, m], ["lefschetz", c, m],
+                     ["pairing-check", c], ["cone", c, c, m],
+                     ["mapping-torus", c, m], ["mapping-torus", c1, m1]):
+            digest.update(repr(_run(capsys, argv)).encode())
+        for reduced in (cx, tensor(cx, dual(cx))) if k % 3 == 0 else (cx,):
+            red = reduce_complex(reduced)
+            digest.update(repr((red.ops, red.two_steps, red.one_steps,
+                                red.cancelled_pairs)).encode())
+    assert digest.hexdigest() == (
+        "c56a8ddf81a8c1a2a4345d54ea643a314729ad5791f9cf28464e774b9b4cf800")
 
 
 # ---------------------------------------------------------------------------
