@@ -105,7 +105,7 @@ def _named(entries: Iterable[tuple[tuple[int, int], Any]],
 def _apply(cols: Mapping[int, list], source: GradedComplex,
            target: GradedComplex, chain: LaurentChain) -> LaurentChain:
     """A differential or chain map, as its column view, applied to a chain."""
-    index, names = source.index(), target.generators
+    index, names = source._index, target.generators
     acc: set[tuple[str, int]] = set()
     for g, e in chain.terms:
         for t, p in cols.get(index.get(g), ()):
@@ -196,13 +196,15 @@ class GradedComplex:
     def index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.generators)}
 
+    _index = cached_property(index)   # built once, for the engine
+
     def entry(self, target: str, source: str) -> Poly:
         return self.d.get((target, source), P0)
 
     @cached_property
     def _at(self) -> dict[tuple[int, int], Poly]:
         """``d`` by position, built once (no reference back to self)."""
-        idx = self.index()
+        idx = self._index
         return {(idx[t], idx[s]): p for (t, s), p in self.d.items()}
 
     @cached_property
@@ -301,7 +303,7 @@ class ChainMap:
     @cached_property
     def _at(self) -> dict[tuple[int, int], Poly]:
         """``entries`` by position, built once."""
-        tidx, sidx = self.target.index(), self.source.index()
+        tidx, sidx = self.target._index, self.source._index
         return {(tidx[t], sidx[s]): p for (t, s), p in self.entries.items()}
 
     @cached_property

@@ -1,15 +1,15 @@
 """Linear algebra over GF(2) on int bit masks (bit i = coordinate i).
 
 Windowed homology (``homology._Window``) runs ``eliminate`` once per
-grading: the kernel combinations give that grading's cycles, the echelon
-rows span the boundaries of the grading below.  Rows are never changed
-once stored, so eliminating a prefix of the vectors gives the kernel
-combinations below the prefix length and the rows inserted while the
-prefix was processed; a window reads every shallower window off these
-prefixes.  ``Quotient`` keeps the cycles whose top bit is not a boundary
-pivot as representatives and reads a class off one reduction against both
-sets of rows, so the Lefschetz oracle walks its classes as masks from end
-to end.
+grading, each boundary mask tagged by its column's bit: the kernel
+combinations are that grading's cycles, the echelon rows span the
+boundaries of the grading below.  Rows are never changed once stored, so
+eliminating a prefix of the vectors gives the kernel combinations below
+the prefix's end and the rows inserted while it was processed; a window
+reads every shallower window off these prefixes.  ``Quotient`` keeps the
+cycles whose top bit is not a boundary pivot as representatives and
+reads a class off one walk down both sets of rows, so the Lefschetz
+oracle walks its classes as masks from end to end.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Span", "rank", "eliminate", "Quotient", "set_bits", "scatter"]
+__all__ = ["Span", "rank", "eliminate", "Quotient", "set_bits"]
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -27,14 +27,6 @@ def set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def scatter(mask: int, positions: List[int]) -> int:
-    """Move bit p of ``mask`` to bit ``positions[p]``."""
-    out = 0
-    for p in set_bits(mask):
-        out |= 1 << positions[p]
-    return out
 
 
 class Span:
@@ -85,28 +77,30 @@ def rank(vectors: Iterable[int]) -> int:
     return span.dim
 
 
-def eliminate(vectors: List[int]) -> Tuple[List[int], Dict[int, int]]:
+def eliminate(vectors: List[int], positions: List[int],
+              ) -> Tuple[List[int], Dict[int, int]]:
     """One Gaussian elimination of ``vectors``, in order: a basis of the
-    combinations that XOR to zero, and the echelon rows of the span,
-    keyed by their top bit in the order they were stored.
+    combinations that XOR to zero, vector k tagged by bit ``positions[k]``,
+    and the echelon rows of the span, keyed by top bit in storage order.
 
-    Combination k has bit k as its top bit, since it is vector k's own tag
-    plus the combinations of rows stored before it.  Each vector adds a
-    combination or a row, and rows never change once stored, so
-    eliminating ``vectors[:n]`` alone gives the combinations of top bit
-    below n and the first n - (their number) rows.
+    With ``positions`` ascending, combination k has top bit
+    ``positions[k]``, its vector's own tag plus the combinations of rows
+    stored before it.  Each vector adds a combination or a row, and rows
+    never change, so eliminating ``vectors[:n]`` alone gives the
+    combinations of top bit below ``positions[n]`` and the first
+    n - (their number) rows.
     """
-    span = Span()
-    kernel = []
-    for v in vectors:
-        tag = 1 << span.count
-        span.count += 1
-        res, combo = span.reduce(v, tag)
-        if res == 0:
-            kernel.append(combo)
+    kernel, rows = [], {}
+    for vec, pos in zip(vectors, positions):
+        combo = 1 << pos
+        while vec and (row := rows.get(vec.bit_length() - 1)):
+            vec ^= row[0]
+            combo ^= row[1]
+        if vec:
+            rows[vec.bit_length() - 1] = (vec, combo)
         else:
-            span._rows[res.bit_length() - 1] = (res, combo)
-    return kernel, {top: res for top, (res, _) in span._rows.items()}
+            kernel.append(combo)
+    return kernel, {top: res for top, (res, _) in rows.items()}
 
 
 class Quotient:
@@ -116,7 +110,7 @@ class Quotient:
     ``reps`` cycles of distinct top bits, none a boundary pivot, that span
     Z together with B; then ``reps`` is a basis of Z/B.  Such reps are the
     pairing of persistence reduction: given a basis of Z of distinct top
-    bits (``eliminate``'s kernel, scattered in ascending order), every
+    bits (``eliminate``'s kernel, tagged by ascending positions), every
     vector of Z has its top bit among theirs, so each boundary pivot is
     one of them, and the basis vectors whose top bit is not a boundary
     pivot, with the boundary rows, are dim Z vectors of distinct top bits.
@@ -133,17 +127,20 @@ class Quotient:
         return len(self.reps)
 
     @cached_property
-    def _span(self) -> Span:
-        """Built on the first ``coords`` call: the oracle reads only the
-        reps of most quotients.  Boundary rows carry no combination,
-        representative k carries bit k."""
-        span = Span()
-        span._rows = {top: (b, 0) for top, b in self._boundary_rows.items()}
+    def _span(self) -> Dict[int, Tuple[int, int]]:
+        """Echelon rows of Z, top bit -> (row, class mask), built on the
+        first ``coords`` call: the oracle reads only the reps of most
+        quotients.  Boundary rows are class 0, representative k bit k."""
+        rows = {top: (b, 0) for top, b in self._boundary_rows.items()}
         for k, z in enumerate(self.reps):
-            span._rows[z.bit_length() - 1] = (z, 1 << k)
-        return span
+            rows[z.bit_length() - 1] = (z, 1 << k)
+        return rows
 
     def coords(self, vec: int) -> Optional[int]:
         """Class of ``vec`` as a bit mask over ``reps``, or None if ``vec``
         is not a cycle."""
-        return self._span.express(vec)
+        rows, combo = self._span, 0
+        while vec and (row := rows.get(vec.bit_length() - 1)):
+            vec ^= row[0]
+            combo ^= row[1]
+        return None if vec else combo

@@ -30,7 +30,7 @@ from .complexes import ChainMap, GradedComplex, LaurentChain, _dual_id
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, NotACycle, NotACycleInPlus, NotInImage,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
-from .gf2 import Quotient, eliminate, rank, scatter, set_bits
+from .gf2 import Quotient, eliminate, rank, set_bits
 from .normal_form import Reduction, _clear_denominators, reduce_complex
 from .scalars import Poly, _pmul
 
@@ -208,7 +208,7 @@ def _torsion_coords(red: Reduction, chain: LaurentChain) -> list[int]:
     """Class of a polynomial cycle in the torsion part of the minus
     flavor: per 2-step, its g_b coefficient modulo U^n."""
     cx = red.complex
-    idx = cx.index()
+    idx = cx._index
     y = [0] * cx.rank
     for g, e in chain.terms:
         y[idx[g]] |= 1 << e
@@ -307,17 +307,17 @@ class _Window:
     lower row or falls off below bit 0 past the top, and the boundary
     masks of the shallower window are the same integers.
 
-    Each grading is eliminated once, at full depth: its boundary masks
-    give the kernel combinations that are the cycles of that grading, and
-    the echelon rows that span the boundaries of the grading below.  In
-    ascending bit order the columns of the window of width w are a prefix
-    of each grading's columns, so its cycles and boundary rows are
+    Each grading is eliminated once, at full depth, each boundary mask
+    tagged by its column's bit: the kernel comes out as the grading's
+    cycles, and the echelon rows span the boundaries of the grading below.
+    In ascending bit order the columns of the window of width w are a
+    prefix of each grading's columns, so its cycles and boundary rows are
     prefixes of these (see ``gf2.eliminate``), and ``homology(g, w)``
-    reads them off.  A kernel combination's top bit is its own column and
-    the columns ascend, so the cycles have distinct top bits; ``homology``
-    keeps those whose top bit is not a boundary pivot as representatives
-    (see ``gf2.Quotient``), which are the ones a greedy quotient would
-    keep, in the same order.
+    reads them off.  A cycle's top bit is its own column and the columns
+    ascend, so the cycles have distinct top bits; ``homology`` keeps those
+    whose top bit is not a boundary pivot as representatives (see
+    ``gf2.Quotient``), which are the ones a greedy quotient would keep, in
+    the same order.
     """
 
     def __init__(self, cx: GradedComplex, width: int):
@@ -370,13 +370,13 @@ class _Window:
         return [r * self.rank + j for r in range(self.width) for j in gens]
 
     def _eliminate(self, grading: int) -> tuple[list[int], dict[int, int]]:
-        """Cycles of ``grading`` (its kernel combinations scattered over
+        """Cycles of ``grading`` (its kernel combinations, tagged by
         ``columns(grading)``, ascending) and the echelon rows of the
         boundaries it sends to the grading below, in insertion order."""
         if grading not in self._eliminated:
             cols = self.columns(grading)
-            kernel, rows = eliminate([self.boundary_mask(i) for i in cols])
-            self._eliminated[grading] = ([scatter(c, cols) for c in kernel], rows)
+            self._eliminated[grading] = eliminate(
+                [self.boundary_mask(i) for i in cols], cols)
         return self._eliminated[grading]
 
     def homology(self, grading: int, width: int | None = None) -> Quotient:

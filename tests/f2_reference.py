@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from uchain.complexes import LaurentChain
-from uchain.gf2 import Span, scatter, set_bits
+from uchain.gf2 import Span, set_bits
 
 
 def mask_of(window, top: int, chain: LaurentChain) -> int:
@@ -35,6 +35,15 @@ def chain_of(window, top: int, mask: int) -> LaurentChain:
     """The chain of a mask of ``window`` with top ``top``."""
     return LaurentChain((window._gens[i % window.rank], top - 1 - i // window.rank)
                         for i in set_bits(mask))
+
+
+def scatter(mask: int, positions: list[int]) -> int:
+    """Move bit p of ``mask`` to bit ``positions[p]``: a combination over
+    a list of vectors as a combination over their positions."""
+    out = 0
+    for p in set_bits(mask):
+        out |= 1 << positions[p]
+    return out
 
 
 def solve(vectors: list[int], target: int) -> Optional[int]:

@@ -5,10 +5,10 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uchain.gf2 import Quotient, Span, eliminate, rank, scatter, set_bits
+from uchain.gf2 import Quotient, Span, eliminate, rank, set_bits
 
 # solve is Span.add over the vectors, then Span.express of the target
-from f2_reference import QuotientBasis, kernel_combos, solve
+from f2_reference import QuotientBasis, kernel_combos, scatter, solve
 
 vectors = st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
                    min_size=0, max_size=12)
@@ -64,7 +64,7 @@ def test_solve_detects_unsolvable_targets():
 
 def test_kernel_of_dependent_family():
     vecs = [0b011, 0b101, 0b110]
-    combos, rows = eliminate(vecs)
+    combos, rows = eliminate(vecs, list(range(len(vecs))))
     assert len(combos) == 1
     assert _combo(vecs, combos[0]) == 0
     assert rows == {1: 0b011, 2: 0b101}
@@ -80,7 +80,7 @@ def test_solve_inverts_any_reachable_target(vecs: list[int], target_mask: int):
 
 @given(vecs=vectors)
 def test_kernel_combos_all_vanish_and_count_the_nullity(vecs: list[int]):
-    combos, rows = eliminate(vecs)
+    combos, rows = eliminate(vecs, list(range(len(vecs))))
     assert all(_combo(vecs, m) == 0 for m in combos)
     assert all(m for m in combos)
     assert len(combos) == len(vecs) - rank(vecs)
@@ -92,13 +92,37 @@ def test_kernel_combos_all_vanish_and_count_the_nullity(vecs: list[int]):
 
 @given(vecs=vectors)
 def test_eliminate_gives_the_reference_kernel_in_order(vecs: list[int]):
-    combos, _ = eliminate(vecs)
+    combos, _ = eliminate(vecs, list(range(len(vecs))))
     assert combos == kernel_combos(vecs)
     # combination k's top bit is its own vector's tag, so the tops ascend
     tops = [m.bit_length() - 1 for m in combos]
     assert tops == sorted(set(tops))
     assert all(vecs[t] == _combo(vecs, m & ~(1 << t))
                for t, m in zip(tops, combos))
+
+
+# ascending positions: any gaps, or those of a window's columns, width rows
+# of ``rank`` bits each with the grading's generators set in every row
+gapped_positions = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=300), unique=True,
+             max_size=12).map(sorted),
+    st.integers(min_value=1, max_value=6).flatmap(lambda rank: st.builds(
+        lambda gens, width: [r * rank + j for r in range(width)
+                             for j in sorted(gens)],
+        st.sets(st.integers(min_value=0, max_value=rank - 1)),
+        st.integers(min_value=0, max_value=12 // rank))))
+
+
+@given(positions=gapped_positions, data=st.data())
+def test_eliminate_by_positions_is_the_scattered_kernel(positions: list[int],
+                                                        data):
+    vecs = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
+                              min_size=len(positions), max_size=len(positions)))
+    combos, rows = eliminate(vecs, positions)
+    ref_combos, ref_rows = eliminate(vecs, list(range(len(vecs))))
+    assert combos == [scatter(c, positions) for c in ref_combos]
+    assert rows == ref_rows
+    assert list(rows) == list(ref_rows)   # same insertion order
 
 
 @given(vecs=vectors)
@@ -133,9 +157,9 @@ def test_quotient_matches_the_greedy_reference(
         masks: list[int]):
     # Z: the kernel of vecs, as combinations (unit masks for a basis);
     # B: the part of it that the images of ``below`` inside Z reach
-    combos, _ = eliminate(vecs)
+    combos, _ = eliminate(vecs, list(range(len(vecs))))
     boundaries = [_combo(combos, m) for m in below]
-    rows = eliminate(boundaries)[1]
+    rows = eliminate(boundaries, list(range(len(boundaries))))[1]
     # the pairing: the kernel vectors whose top bit no boundary row has
     new = Quotient([z for z in combos if z.bit_length() - 1 not in rows], rows)
     ref = QuotientBasis(combos, boundaries)

@@ -683,6 +683,30 @@ def test_mutated_campaign_bytes_are_pinned():
         "9b9422768dc83b328857f02e3b4f662af646c61ee7b8b1702f55a28b5b8789ca")
 
 
+def test_deep_exponent_traces_are_pinned():
+    """Per-grading traces at exponents 63 to 224, where the oracle's
+    windows are hundreds of rows deep: the identity on a -> U^n b, one
+    scrambled 2-step with a random map, and two scrambled 2-steps of equal
+    grading and exponent with a random map, eight exponents each."""
+    rng = random.Random(20261019)
+    traces = []
+    for n in range(63, 233, 23):   # both parities
+        g = rng.randint(-2, 2)
+        cx = realize(NormalForm((), ((g, n),)), name="deep")
+        traces.append(lefschetz_by_grading(cx, identity_map(cx)))
+        for twos in (((g, n),), ((g, n), (g, n))):
+            cx = random_basis_change(realize(NormalForm((), twos), name="deep"),
+                                     seed=rng.getrandbits(32),
+                                     steps=rng.randint(4, 16))
+            f = random_chain_map(cx, rng.getrandbits(32))
+            traces.append(lefschetz_by_grading(cx, f))
+    assert len(traces) == 24
+    payload = json.dumps([sorted(t.items()) for t in traces])
+    digest = hashlib.sha256(payload.encode())
+    assert digest.hexdigest() == (
+        "0bd94e4e9f943e78b8cddb63badf0c4de8a67688127a125154c1174cff427b27")
+
+
 def test_campaign_results_do_not_depend_on_worker_count():
     a = verify_proposition(campaign_seed=11, trials=12, max_rank=5,
                            max_exponent=4, jobs=1)
