@@ -10,6 +10,10 @@ reads every shallower window off these prefixes.  ``Quotient`` keeps the
 cycles whose top bit is not a boundary pivot as representatives and
 reads a class off one walk down both sets of rows, so the Lefschetz
 oracle walks its classes as masks from end to end.
+
+``rank``, ``eliminate`` and ``Quotient.coords`` walk pivots one way, the
+column reduction of persistence (Zomorodian & Carlsson 2005), and no
+span here tracks which added vectors combine to a row.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Span", "rank", "eliminate", "Quotient", "set_bits"]
+__all__ = ["rank", "eliminate", "Quotient", "set_bits"]
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -29,52 +33,14 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class Span:
-    """Echelonized span with tracking of input combinations.
-
-    ``_rows`` maps pivot position -> (vector, combination); a combination
-    is a bit mask over the add order of the vectors inserted so far.
-    """
-
-    def __init__(self) -> None:
-        self._rows: dict[int, tuple[int, int]] = {}
-        self.count = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def reduce(self, vec: int, combo: int = 0) -> Tuple[int, int]:
-        rows = self._rows
-        while vec:
-            row = rows.get(vec.bit_length() - 1)
-            if row is None:
-                break
-            vec ^= row[0]
-            combo ^= row[1]
-        return vec, combo
-
-    def add(self, vec: int) -> bool:
-        """Insert ``vec``; return True if it enlarged the span."""
-        tag = 1 << self.count
-        self.count += 1
-        res, combo = self.reduce(vec, tag)
-        if res == 0:
-            return False
-        self._rows[res.bit_length() - 1] = (res, combo)
-        return True
-
-    def express(self, vec: int) -> Optional[int]:
-        """Combination of previously added vectors equal to ``vec``."""
-        res, combo = self.reduce(vec)
-        return None if res else combo
-
-
 def rank(vectors: Iterable[int]) -> int:
-    span = Span()
-    for v in vectors:
-        span.add(v)
-    return span.dim
+    rows: Dict[int, int] = {}
+    for vec in vectors:
+        while vec and (row := rows.get(vec.bit_length() - 1)):
+            vec ^= row
+        if vec:
+            rows[vec.bit_length() - 1] = vec
+    return len(rows)
 
 
 def eliminate(vectors: List[int], positions: List[int],

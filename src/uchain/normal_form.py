@@ -363,13 +363,11 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
                 s_nf.append(((ti, si), LocalScalar(p)))
 
     q, qi = red.exact_transform()
-    terms: list[tuple[tuple[int, int], LocalScalar]] = []
-    for (t, s), c in _accumulate(s_nf).items():
-        for i, qv in q[t].items():
-            left = qv * c
-            terms += [((i, j), left * v) for j, v in qi[s].items()]
+    q_at = {(i, j): c for j, col in enumerate(q) for i, c in col.items()}
+    qi_at = {(i, j): c for i, row in enumerate(qi) for j, c in row.items()}
+    s_at = _mat_mul(_mat_mul(q_at, _accumulate(s_nf)), qi_at)
     scaled = [(k, Poly(bits)) for k, bits
-              in _clear_denominators(_accumulate(terms)).items()]
+              in _clear_denominators(s_at).items()]
 
     h: dict[tuple[int, int], Poly] = {}
     for u, gu in enumerate(gens):
@@ -433,7 +431,7 @@ def minor_gcd_check(cx: GradedComplex) -> tuple[int, ...]:
                 for ct in itertools.combinations(cols, k):
                     dv = det(rt, ct)
                     if dv:
-                        v = (dv & -dv).bit_length() - 1
+                        v = _val(dv)
                         if best is None or v < best:
                             best = v
             if best is None:

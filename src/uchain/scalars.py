@@ -25,6 +25,7 @@ import math
 import re
 
 from .errors import BothZero, ExponentOverflow, NotAUnit, ParseError
+from .gf2 import set_bits
 
 __all__ = [
     "EXPONENT_LIMIT",
@@ -214,12 +215,7 @@ class Poly:
         return Poly(b & even_mask)
 
     def exponents(self) -> tuple[int, ...]:
-        out = []
-        b = self.bits
-        while b:
-            out.append(_val(b))
-            b &= b - 1
-        return tuple(out)
+        return tuple(set_bits(self.bits))
 
     # -- protocol --
 

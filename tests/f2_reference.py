@@ -1,13 +1,14 @@
-"""Reference F2 quotient for the tests: kernel combinations and a greedy
+"""Reference F2 linear algebra for the tests: a span that tracks which
+added vectors combine to each row; kernel combinations and a greedy
 quotient, as the library computed windowed homology before it read the
 representatives off one elimination per grading; the conversions
 between chains and the masks of a ``homology._Window`` placed at a top;
 and a general solve, for the tests that ask whether a chain bounds.
 
-The test-local homology models (``_QuotientSlice``, ``_PlusSlice``,
-``_f2_homology``) build on these, so they stay independent of
-``uchain.gf2.eliminate`` and ``uchain.gf2.Quotient``, which the window
-path uses.
+Nothing here uses ``uchain.gf2``'s elimination (``rank``, ``eliminate``,
+``Quotient``); only its ``set_bits`` is imported.  The test-local
+homology models (``_QuotientSlice``, ``_PlusSlice``, ``_f2_homology``)
+build on these, so they stay independent of the fast paths they check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,48 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from uchain.complexes import LaurentChain
-from uchain.gf2 import Span, set_bits
+from uchain.gf2 import set_bits
+
+
+class Span:
+    """Echelonized span with tracking of input combinations.
+
+    ``_rows`` maps pivot position -> (vector, combination); a combination
+    is a bit mask over the add order of the vectors inserted so far.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict[int, tuple[int, int]] = {}
+        self.count = 0
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def reduce(self, vec: int, combo: int = 0) -> tuple[int, int]:
+        rows = self._rows
+        while vec:
+            row = rows.get(vec.bit_length() - 1)
+            if row is None:
+                break
+            vec ^= row[0]
+            combo ^= row[1]
+        return vec, combo
+
+    def add(self, vec: int) -> bool:
+        """Insert ``vec``; return True if it enlarged the span."""
+        tag = 1 << self.count
+        self.count += 1
+        res, combo = self.reduce(vec, tag)
+        if res == 0:
+            return False
+        self._rows[res.bit_length() - 1] = (res, combo)
+        return True
+
+    def express(self, vec: int) -> Optional[int]:
+        """Combination of previously added vectors equal to ``vec``."""
+        res, combo = self.reduce(vec)
+        return None if res else combo
 
 
 def mask_of(window, top: int, chain: LaurentChain) -> int:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from uchain.gf2 import Quotient, Span, eliminate, rank, set_bits
+from uchain.gf2 import Quotient, eliminate, rank, set_bits
 
 # solve is Span.add over the vectors, then Span.express of the target
-from f2_reference import QuotientBasis, kernel_combos, scatter, solve
+from f2_reference import QuotientBasis, Span, kernel_combos, scatter, solve
 
 vectors = st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
                    min_size=0, max_size=12)
@@ -131,6 +131,23 @@ def test_rank_is_monotone_under_extension(vecs: list[int]):
     assert 0 <= r <= len(vecs)
     assert rank(vecs + [0]) == r
     assert r <= rank(vecs + [1 << 11]) <= r + 1
+
+
+@example(pool=[1 << 64, (1 << 64) | 1, 1], masks=[0, 1, 1, 2, 3, 4, 7])
+@given(pool=st.lists(st.integers(min_value=0, max_value=(1 << 200) - 1),
+                     max_size=6),
+       masks=st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1),
+                      max_size=12))
+def test_rank_is_the_reference_span_dimension(pool: list[int],
+                                              masks: list[int]):
+    # each vector is a combination of the pool: mask 0 and dependent masks
+    # give zero vectors, equal masks repeat a vector, and the pool's masks
+    # run past 64 bits
+    vecs = [_combo(pool, m) for m in masks]
+    span = Span()
+    for v in vecs:
+        span.add(v)
+    assert rank(vecs) == span.dim
 
 
 def test_quotient_basis_dimensions():

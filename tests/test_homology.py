@@ -34,7 +34,7 @@ from uchain.errors import (
     ParameterOutOfRange,
     RankTooLarge,
 )
-from uchain.gf2 import Span, rank, set_bits
+from uchain.gf2 import rank, set_bits
 from uchain.homology import (
     _Window,
     _delta_inverse,

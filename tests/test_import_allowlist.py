@@ -1,5 +1,6 @@
 """Every module-level import in ``src/uchain/`` is package-relative or
-from a short list of standard-library modules.
+from a short list of standard-library modules, and the tests' F2
+reference takes nothing from ``uchain.gf2`` but ``set_bits``.
 
 ``import uchain, uchain.cli`` is what every CLI invocation pays before it
 does any work, so a module-level import of anything heavier (a process
@@ -66,3 +67,33 @@ def test_the_check_sees_an_import_off_the_list():
         "def f():\n    import multiprocessing\n")
     assert _outside(tree) == [(1, "numpy"), (4, "concurrent.futures"),
                               (6, "decimal"), (8, "fractions")]
+
+
+def _from_gf2(tree: ast.Module) -> list[str]:
+    """Names taken from ``uchain.gf2`` anywhere in ``tree``, the module
+    itself as ``gf2``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += ["gf2" for alias in node.names if alias.name == "uchain.gf2"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "uchain.gf2":
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "uchain":
+            out += ["gf2" for alias in node.names if alias.name == "gf2"]
+    return out
+
+
+def test_the_f2_reference_takes_only_set_bits_from_gf2():
+    """``f2_reference`` is what the tests check ``gf2``'s elimination
+    against, so it must not run that elimination itself."""
+    path = Path(__file__).resolve().parent / "f2_reference.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert set(_from_gf2(tree)) <= {"set_bits"}
+
+
+def test_the_gf2_check_sees_every_way_in():
+    tree = ast.parse(
+        "import uchain.gf2\nfrom uchain import gf2, scalars\n"
+        "from uchain.gf2 import set_bits, rank\nimport uchain.scalars\n"
+        "def f():\n    from uchain.gf2 import Quotient\n")
+    assert _from_gf2(tree) == ["gf2", "gf2", "set_bits", "rank", "Quotient"]

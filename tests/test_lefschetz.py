@@ -34,7 +34,7 @@ from uchain.errors import (
     ParameterOutOfRange,
 )
 from uchain.complexes import _chain_map, _dual_id, _mat_mul
-from uchain.gf2 import Span, rank
+from uchain.gf2 import rank
 from uchain.homology import _Window
 from uchain import lefschetz
 from uchain.lefschetz import (
@@ -63,7 +63,7 @@ from uchain.normal_form import (
 )
 from uchain.scalars import P1, Poly
 
-from f2_reference import chain_of, greedy_window_homology, mask_of
+from f2_reference import Span, chain_of, greedy_window_homology, mask_of
 
 
 def _two_step(n: int) -> GradedComplex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uchain.complexes import (GradedComplex, _accumulate, build_complex,
-                               compose, dual, identity_map, tensor)
+                               compose, dual, identity_map, map_to_text,
+                               tensor)
 from uchain.errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
 from uchain.normal_form import (
     NormalForm,
@@ -208,6 +210,39 @@ def test_random_chain_map_reaches_the_identity():
     ident = identity_map(cx)
     hits = sum(random_chain_map(cx, seed=s) == ident for s in range(64))
     assert hits >= 1
+
+
+def _with_unit_summands(seed: int) -> GradedComplex:
+    """A realized normal form with at least one 1-step, plus one to three
+    acyclic summands c -> (1+U) e in gradings it already uses, scrambled,
+    so the reduction cancels pairs and Q carries unit pivots."""
+    rng = random.Random(seed)
+    nf = random_normal_form(rng, max_rank=6, max_exponent=4)
+    model = realize(NormalForm(nf.one_steps + (rng.randint(-2, 2),),
+                               nf.two_steps))
+    gens = [(x, model.gradings[x]) for x in model.generators]
+    entries = [(s, t, p) for (t, s), p in model.d.items()]
+    used = sorted(set(model.gradings.values()))
+    for k in range(rng.randint(1, 3)):
+        g = rng.choice(used)
+        gens += [(f"c{k}", g), (f"e{k}", g - 1)]
+        entries.append((f"c{k}", f"e{k}", Poly.of(0, 1)))
+    return random_basis_change(build_complex("u", gens, entries),
+                               seed=seed + 1, steps=rng.randint(4, 16))
+
+
+def test_random_chain_maps_with_cancelled_pairs_are_pinned():
+    """The maps drawn on 40 complexes whose reduction cancels pairs, as
+    the bytes a change to how S is conjugated into the input basis would
+    move."""
+    texts = []
+    for seed in range(40):
+        cx = _with_unit_summands(seed)
+        assert reduce_complex(cx).cancelled_pairs >= 1
+        texts.append(map_to_text(random_chain_map(cx, seed=seed + 1000)))
+    digest = hashlib.sha256("".join(texts).encode())
+    assert digest.hexdigest() == (
+        "6f27b9f79f1ab686fe3311240e96dc458330588517a3c29ec97ffcf786406a1f")
 
 
 # ---------------------------------------------------------------------------
