@@ -866,6 +866,79 @@ def test_window_lift_and_map_match_the_chain_round_trip_under_hypothesis(
         _assert_masks_match_the_chain_round_trip(cx, rng)
 
 
+# ---------------------------------------------------------------------------
+# window maps against the stripe-and-shift reference
+#
+# Before each map became one template per generator, the window applied
+# it as lists of bit shifts: one window-wide AND per generator stripe,
+# then one window-wide shift per map term.  The copy here is that code.
+
+
+def _shift_lists(w: _Window, cols: dict[int, list]) -> list[list[int]]:
+    """Per source j, the shift of bit position carrying U^e g_j to each
+    term of its image: U^k g_t is a shift by t - j - k * rank."""
+    return [[t - j - k * w.rank for t, p in cols.get(j, ())
+             for k in set_bits(p.bits)] for j in range(w.rank)]
+
+
+def _stripe_map_mask(w: _Window, shifts: list[list[int]], mask: int) -> int:
+    ones = ((1 << w.width * w.rank) - 1) // ((1 << w.rank) - 1 or 1)
+    m = 0
+    for j, sh in enumerate(shifts):
+        part = mask & ones << j
+        for s in sh:
+            m ^= part << s if s >= 0 else part >> -s
+    return m
+
+
+def _window_map(shifts: list[list[int]]) -> list[list[int]]:
+    """Shift lists in the form ``_Window.map_mask`` takes."""
+    return shifts
+
+
+def _with_a_cancelled_pair(seed: int) -> GradedComplex:
+    """A mixed complex plus an acyclic summand c -> (1 + U) e, scrambled,
+    so the reduction cancels a pair."""
+    rng = random.Random(seed)
+    cx = _mixed_complex(seed)
+    g = rng.choice(sorted(set(cx.gradings.values())))
+    unit = build_complex("unit", [("c", g), ("e", g - 1)],
+                         [("c", "e", Poly.of(0, 1))])
+    return random_basis_change(direct_sum(cx, unit), seed=seed + 2,
+                               steps=rng.randint(4, 16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), one_steps=st.booleans(),
+       width=st.integers(min_value=1, max_value=12))
+def test_window_maps_match_the_stripe_and_shift_reference(
+        seed: int, one_steps: bool, width: int):
+    rng = random.Random(seed)
+    inputs = _window_inputs(seed, one_steps) + [_mixed_complex(seed),
+                                                _with_a_cancelled_pair(seed)]
+    for cx in inputs:
+        w = _Window(cx, width)
+        bits = width * cx.rank
+        # d, a chain map, and hand-made maps that lower exponents (shifts
+        # past a row) or carry terms past the top
+        maps = [_shift_lists(w, cx._cols),
+                _shift_lists(w, random_chain_map(cx, rng.getrandbits(32))._cols)]
+        maps += [[[rng.randint(-3 * cx.rank, 3 * cx.rank)
+                   for _ in range(rng.randint(0, 3))] for _ in range(cx.rank)]
+                 for _ in range(2)]
+        sparse = 0
+        for _ in range(rng.randint(2, 6)):
+            sparse |= 1 << rng.randrange(bits)
+        masks = [0, 1 << rng.randrange(bits), sparse, rng.getrandbits(bits),
+                 (1 << bits) - 1]
+        for shifts in maps:
+            for m in masks:
+                assert (w.map_mask(_window_map(shifts), m)
+                        == _stripe_map_mask(w, shifts, m))
+        for i in range(bits):
+            assert w.boundary_mask(i) == w.map_mask(w._d, 1 << i)
+
+
 def test_windowed_connecting_map_must_land_in_the_subcomplex():
     # a d that lowers every exponent by one takes each plus class of the
     # two-step above the rows of [0, w) in [-w, w); the check refuses it
