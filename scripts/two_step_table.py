@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Tabulate the pairing quantity on two-step complexes a -> U^n b.
+"""Tabulate both Lefschetz computations on two-step complexes a -> U^n b.
 
 For the identity map the value is n mod 2; for multiplication by p(U) it
-is p(0) * n mod 2.  The table prints both alongside the closed forms so a
-reader can eyeball the agreement.
+is p(0) * n mod 2.  Both hold for delta_quantity and for
+lefschetz_oracle, which reads the trace off truncation windows about 3n
+deep.  The table prints both computations for both maps alongside the
+closed forms and exits nonzero on any mismatch.
 
     python3 scripts/two_step_table.py --max-exponent 16 --poly 1+U^2
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 
 from uchain.complexes import build_complex, identity_map, scalar_map
-from uchain.lefschetz import delta_quantity
+from uchain.lefschetz import delta_quantity, lefschetz_oracle
 from uchain.scalars import Poly
 
 
@@ -28,17 +30,20 @@ def main() -> None:
     p = args.poly
     k = p.bits & 1
     print(f"scalar column: multiplication by {p}")
-    print(f"{'n':>3} {'id':>3} {'n%2':>4} {'p(U)':>5} {'k*n%2':>6}")
+    print(f"{'n':>3} {'id':>3} {'L(id)':>5} {'n%2':>4} "
+          f"{'p(U)':>5} {'L(p)':>5} {'k*n%2':>6}")
     bad = 0
     for n in range(1, args.max_exponent + 1):
         cx = build_complex("two", [("a", 1), ("b", 0)],
                            [("a", "b", Poly.u(n))])
-        v_id = delta_quantity(cx, identity_map(cx))
-        v_p = delta_quantity(cx, scalar_map(cx, p))
-        ok = v_id == n % 2 and v_p == (k * n) % 2
+        ident, scalar = identity_map(cx), scalar_map(cx, p)
+        v_id, o_id = delta_quantity(cx, ident), lefschetz_oracle(cx, ident)
+        v_p, o_p = delta_quantity(cx, scalar), lefschetz_oracle(cx, scalar)
+        ok = v_id == o_id == n % 2 and v_p == o_p == (k * n) % 2
         bad += not ok
         flag = "" if ok else "  <-- MISMATCH"
-        print(f"{n:>3} {v_id:>3} {n % 2:>4} {v_p:>5} {(k * n) % 2:>6}{flag}")
+        print(f"{n:>3} {v_id:>3} {o_id:>5} {n % 2:>4} "
+              f"{v_p:>5} {o_p:>5} {(k * n) % 2:>6}{flag}")
     if bad:
         raise SystemExit(f"{bad} rows disagree with the closed forms")
     print("all rows match the closed forms")

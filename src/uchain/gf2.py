@@ -54,19 +54,21 @@ def eliminate(vectors: List[int], positions: List[int],
     stored before it.  Each vector adds a combination or a row, and rows
     never change, so eliminating ``vectors[:n]`` alone gives the
     combinations of top bit below ``positions[n]`` and the first
-    n - (their number) rows.
+    n - (their number) rows.  The rows' combinations sit in a dict of
+    their own, so the rows come back as they were stored.
     """
-    kernel, rows = [], {}
+    kernel, rows, combos = [], {}, {}
     for vec, pos in zip(vectors, positions):
         combo = 1 << pos
-        while vec and (row := rows.get(vec.bit_length() - 1)):
-            vec ^= row[0]
-            combo ^= row[1]
-        if vec:
-            rows[vec.bit_length() - 1] = (vec, combo)
+        while vec and (row := rows.get(top := vec.bit_length() - 1)):
+            vec ^= row
+            combo ^= combos[top]
+        if vec:   # the loop's last test read its top bit
+            rows[top] = vec
+            combos[top] = combo
         else:
             kernel.append(combo)
-    return kernel, {top: res for top, (res, _) in rows.items()}
+    return kernel, rows
 
 
 class Quotient:

@@ -307,6 +307,10 @@ class _Window:
     lower row or falls off below bit 0 past the top, and the boundary
     masks of the shallower window are the same integers.
 
+    Every map the window applies, d and chain maps alike, is one template
+    per generator (see ``templates``), and ``map_mask`` places one per set
+    bit of its vector: its cost follows the vector, not the window.
+
     Each grading is eliminated once, at full depth, each boundary mask
     tagged by its column's bit: the kernel comes out as the grading's
     cycles, and the echelon rows span the boundaries of the grading below.
@@ -324,44 +328,39 @@ class _Window:
         self.width = width
         self.rank = cx.rank
         self._gens = cx.generators
-        self._d = self.shifts(cx._cols)
-        # d of generator j as one mask: the term of shift s at bit s + top
-        self._templates = []
-        for sh in self._d:
-            top = max((-s for s in sh), default=0)
-            self._templates.append((sum(1 << (s + top) for s in sh), top))
-        ones = (1 << self.width * self.rank) - 1
-        ones //= (1 << self.rank) - 1 or 1    # bit 0 of every row
-        self._stripes = [ones << j for j in range(self.rank)]
+        self._d = self.templates(cx._cols)
         self._by_grading: dict[int, list[int]] = {}
         for j, g in enumerate(self._gens):
             self._by_grading.setdefault(cx.gradings[g], []).append(j)
         self.gradings = sorted(self._by_grading)
         self._eliminated: dict[int, tuple[list[int], dict[int, int]]] = {}
 
-    def shifts(self, cols: dict[int, list]) -> list[list[int]]:
+    def templates(self, cols: dict[int, list]) -> list[tuple[int, int]]:
         """A column view by position (j -> [(t, Poly)]) as, per source j,
-        the shift of bit position that carries U^e g_j to each term of its
-        image: U^k g_t is a shift by t - j - k * rank."""
-        return [[t - j - k * self.rank
-                 for t, p in cols.get(j, ()) for k in set_bits(p.bits)]
-                for j in range(self.rank)]
+        the image of g_j as one mask and the bit ``top`` of g_j inside it:
+        the term U^k g_t sits t - j - k * rank bits above ``top``, and
+        ``top`` puts the lowest term at bit 0."""
+        out = []
+        for j in range(self.rank):
+            sh = [t - j - k * self.rank
+                  for t, p in cols.get(j, ()) for k in set_bits(p.bits)]
+            top = max((-s for s in sh), default=0)
+            out.append((sum(1 << (s + top) for s in sh), top))
+        return out
 
     def boundary_mask(self, i: int) -> int:
-        """Boundary of basis element i, cut to the window: its generator's
-        template shifted into place, terms past the top falling off."""
-        template, top = self._templates[i % self.rank]
-        return template << (i - top) if i >= top else template >> (top - i)
+        """Boundary of basis element i, cut to the window."""
+        return self.map_mask(self._d, 1 << i)
 
-    def map_mask(self, shifts: list[list[int]], mask: int) -> int:
-        """A map given by ``shifts`` applied to a mask, cut to the window:
-        each generator's bits, one per row, move by each of its shifts."""
-        m = 0
-        for stripe, sh in zip(self._stripes, shifts):
-            part = mask & stripe
-            if part:
-                for s in sh:
-                    m ^= part << s if s >= 0 else part >> -s
+    def map_mask(self, templates: list[tuple[int, int]], mask: int) -> int:
+        """A map given by ``templates`` applied to a mask, cut to the
+        window: per set bit, its generator's template shifted so that the
+        generator's bit lands on it, terms past the top falling off.  The
+        cost is one shift per set bit, whatever the window's width."""
+        m, rank = 0, self.rank
+        for i in set_bits(mask):
+            template, top = templates[i % rank]
+            m ^= template << (i - top) if i >= top else template >> (top - i)
         return m
 
     def columns(self, grading: int) -> list[int]:
@@ -374,9 +373,10 @@ class _Window:
         ``columns(grading)``, ascending) and the echelon rows of the
         boundaries it sends to the grading below, in insertion order."""
         if grading not in self._eliminated:
-            cols = self.columns(grading)
-            self._eliminated[grading] = eliminate(
-                [self.boundary_mask(i) for i in cols], cols)
+            cols, d, rank = self.columns(grading), self._d, self.rank
+            vectors = [t << (i - top) if i >= top else t >> (top - i)
+                       for i in cols for t, top in (d[i % rank],)]
+            self._eliminated[grading] = eliminate(vectors, cols)
         return self._eliminated[grading]
 
     def homology(self, grading: int, width: int | None = None) -> Quotient:

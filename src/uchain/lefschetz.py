@@ -133,8 +133,8 @@ def delta_quantity(cx: GradedComplex, f: ChainMap, *,
 # the direct oracle
 
 
-def _stable_traces(window: _Window, f_shifts: list[list[int]], small: int,
-                   big: int) -> dict[int, int]:
+def _stable_traces(window: _Window, f_templates: list[tuple[int, int]],
+                   small: int, big: int) -> dict[int, int]:
     """Per-grading trace of f on the stable part of windowed plus-homology.
 
     A window of depth w models the quotient complex on exponents
@@ -150,8 +150,8 @@ def _stable_traces(window: _Window, f_shifts: list[list[int]], small: int,
     of top bit at most its own, so the image is spanned by the big
     window's representatives below that bit, a prefix of its ``reps``,
     and the trace does not depend on the basis.  f (given by
-    ``window.shifts``) acts on a class by shifting each generator's bits
-    by its entries' exponents, and must map that prefix into itself.
+    ``window.templates``) acts on a class one set bit at a time, and must
+    map that prefix into itself.
     """
     out: dict[int, int] = {}
     for g in window.gradings:
@@ -159,7 +159,7 @@ def _stable_traces(window: _Window, f_shifts: list[list[int]], small: int,
         stable = bisect_left(hb.reps, 1 << small * window.rank)
         trace = 0
         for k in range(stable):
-            fc = hb.coords(window.map_mask(f_shifts, hb.reps[k]))
+            fc = hb.coords(window.map_mask(f_templates, hb.reps[k]))
             if fc is None or fc >> stable:
                 raise CrossCheckMismatch("induced map left the stable subspace")
             trace ^= fc >> k & 1
@@ -191,9 +191,9 @@ def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
     if dims[0] != dims[1]:
         raise CrossCheckMismatch(f"window homology grew past width {n_max}: "
                                  "wrong maximal exponent, or a 1-step")
-    f_shifts = window.shifts(f._cols)
-    first = _stable_traces(window, f_shifts, small, small + n_max)
-    second = _stable_traces(window, f_shifts, 2 * small, 2 * small + n_max)
+    f_templates = window.templates(f._cols)
+    first = _stable_traces(window, f_templates, small, small + n_max)
+    second = _stable_traces(window, f_templates, 2 * small, 2 * small + n_max)
     if first != second:
         raise CrossCheckMismatch(
             f"doubling the window moved the trace: {first} vs {second}")

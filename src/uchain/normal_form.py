@@ -155,6 +155,12 @@ def _replay(n: int, ops, one, addmul) -> tuple[list[dict], list[dict]]:
     return q, qi
 
 
+def _entries(q: list[dict], qi: list[dict]) -> tuple[dict, dict]:
+    """``_replay``'s Q columns and Q^-1 rows as (row, column) entry dicts."""
+    return ({(i, j): c for j, col in enumerate(q) for i, c in col.items()},
+            {(i, j): c for i, row in enumerate(qi) for j, c in row.items()})
+
+
 def _addmul(dst: dict, src: dict, c) -> None:
     """dst += c * src on sparse vectors of Poly or LocalScalar entries."""
     _accumulate(((k, c * v) for k, v in src.items()), dst)
@@ -308,9 +314,7 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
         for _ in range(steps):
             i, j = rng.sample(rng.choice(groups), 2)
             ops.append((i, j, Poly(rng.getrandbits(3) or 1)))
-    q, qi = _replay(len(gens), ops, P1, _addmul)
-    q_at = {(i, j): p for j, col in enumerate(q) for i, p in col.items()}
-    qi_at = {(i, j): p for i, row in enumerate(qi) for j, p in row.items()}
+    q_at, qi_at = _entries(*_replay(len(gens), ops, P1, _addmul))
     d = _mat_mul(_mat_mul(qi_at, cx._at), q_at)
 
     out = _complex(cx.name, [(g, cx.gradings[g]) for g in gens],
@@ -362,9 +366,7 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
             if p:
                 s_nf.append(((ti, si), LocalScalar(p)))
 
-    q, qi = red.exact_transform()
-    q_at = {(i, j): c for j, col in enumerate(q) for i, c in col.items()}
-    qi_at = {(i, j): c for i, row in enumerate(qi) for j, c in row.items()}
+    q_at, qi_at = _entries(*red.exact_transform())
     s_at = _mat_mul(_mat_mul(q_at, _accumulate(s_nf)), qi_at)
     scaled = [(k, Poly(bits)) for k, bits
               in _clear_denominators(s_at).items()]

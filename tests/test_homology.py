@@ -828,25 +828,25 @@ def _assert_masks_match_the_chain_round_trip(cx: GradedComplex,
     f = random_chain_map(cx, rng.getrandbits(32))
     for top, width in [(0, 7), (5, 5), (4, 7)]:
         src = _Window(cx, width)
-        f_shifts = src.shifts(f._cols)
+        f_templates = src.templates(f._cols)
         masks = [rng.getrandbits(src.width * cx.rank) for _ in range(4)]
         masks += [v for g in set(cx.gradings.values())
                   for v in src.homology(g).reps]
         for m in masks:
             chain = chain_of(src, top, m)
-            assert (src.map_mask(f_shifts, m)
+            assert (src.map_mask(f_templates, m)
                     == mask_of(src, top, f.apply_chain(chain)))
             assert (src.map_mask(src._d, m)
                     == mask_of(src, top, cx.boundary_chain(chain)))
     # the oracle's pair: a window inside a deeper one with the same top,
     # where a class of the shallower is a mask of the deeper as it stands
     ws, wb = _Window(cx, 3), _Window(cx, 7)
-    f_shifts = wb.shifts(f._cols)
+    f_templates = wb.templates(f._cols)
     for g in set(cx.gradings.values()):
         for v in ws.homology(g).reps + [rng.getrandbits(3 * cx.rank)]:
             chain = chain_of(ws, 0, v)
             assert mask_of(wb, 0, chain) == v
-            assert wb.map_mask(f_shifts, v) == mask_of(wb, 0, f.apply_chain(chain))
+            assert wb.map_mask(f_templates, v) == mask_of(wb, 0, f.apply_chain(chain))
 
 
 def test_window_lift_and_map_match_the_chain_round_trip():
@@ -891,9 +891,16 @@ def _stripe_map_mask(w: _Window, shifts: list[list[int]], mask: int) -> int:
     return m
 
 
-def _window_map(shifts: list[list[int]]) -> list[list[int]]:
-    """Shift lists in the form ``_Window.map_mask`` takes."""
-    return shifts
+def _window_map(shifts: list[list[int]]) -> list[tuple[int, int]]:
+    """Shift lists in the form ``_Window.map_mask`` takes: per generator,
+    the XOR of its terms as one mask, with its own bit at ``top``."""
+    out = []
+    for sh in shifts:
+        top, template = max((-s for s in sh), default=0), 0
+        for s in sh:
+            template ^= 1 << (s + top)
+        out.append((template, top))
+    return out
 
 
 def _with_a_cancelled_pair(seed: int) -> GradedComplex:
@@ -931,6 +938,7 @@ def test_window_maps_match_the_stripe_and_shift_reference(
             sparse |= 1 << rng.randrange(bits)
         masks = [0, 1 << rng.randrange(bits), sparse, rng.getrandbits(bits),
                  (1 << bits) - 1]
+        assert w.templates(cx._cols) == w._d == _window_map(maps[0])
         for shifts in maps:
             for m in masks:
                 assert (w.map_mask(_window_map(shifts), m)
@@ -941,10 +949,14 @@ def test_window_maps_match_the_stripe_and_shift_reference(
 
 def test_windowed_connecting_map_must_land_in_the_subcomplex():
     # a d that lowers every exponent by one takes each plus class of the
-    # two-step above the rows of [0, w) in [-w, w); the check refuses it
+    # two-step above the rows of [0, w) in [-w, w); the check refuses it.
+    # d also feeds the elimination, so it is swapped only once every
+    # grading has been eliminated with the true one
     cx = _two_step(3)
     window = _Window(cx, 4 * 8)
-    window._d = [[cx.rank] for _ in cx.generators]
+    for g in window.gradings:
+        window._eliminate(g)
+    window._d = [(1 << cx.rank, 0) for _ in cx.generators]
     with pytest.raises(CrossCheckMismatch, match="left the subcomplex"):
         _les_at_window(window, 8)
 

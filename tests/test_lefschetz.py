@@ -401,7 +401,7 @@ def _paired_torsion_complex(seed: int) -> GradedComplex:
                                steps=rng.randint(4, 16))
 
 
-def _span_stable_traces(window: _Window, f_shifts: list[list[int]],
+def _span_stable_traces(window: _Window, f_templates: list[tuple[int, int]],
                         small: int, big: int) -> dict[int, int]:
     """The stable traces read the long way: every class of the small
     window's own homology is carried into the big window, a ``Span`` of
@@ -420,7 +420,7 @@ def _span_stable_traces(window: _Window, f_shifts: list[list[int]],
                 stable.append((tag, v))
         trace = 0
         for tag, v in stable:
-            fc = hb.coords(window.map_mask(f_shifts, v))
+            fc = hb.coords(window.map_mask(f_templates, v))
             combo = None if fc is None else span.express(fc)
             assert combo is not None
             trace ^= combo >> tag & 1
@@ -442,11 +442,12 @@ def _assert_stable_traces_match_the_references(cx: GradedComplex,
     n_max = classify(cx).max_exponent
     small = n_max + 1
     window = _Window(cx, 2 * small + n_max)
-    f_shifts = window.shifts(f._cols)
+    f_templates = window.templates(f._cols)
     for depth in (small, 2 * small):
-        traces = lefschetz._stable_traces(window, f_shifts, depth, depth + n_max)
+        traces = lefschetz._stable_traces(window, f_templates, depth,
+                                          depth + n_max)
         assert traces == _round_trip_stable_traces(cx, f, depth, depth + n_max)
-        assert traces == _span_stable_traces(window, f_shifts, depth,
+        assert traces == _span_stable_traces(window, f_templates, depth,
                                              depth + n_max)
 
 
@@ -569,15 +570,15 @@ def test_oracle_catches_a_map_that_leaves_the_stable_subspace():
 
 def test_stable_traces_refuse_an_image_past_the_stable_prefix():
     # a chain map only raises exponents, so it keeps the stable prefix;
-    # shifts carrying the stable class U^-1 a2 down to U^-3 b1, the junk
-    # class of the same grading at width 3, must be refused
+    # a template carrying the stable class U^-1 a2 down to U^-3 b1, the
+    # junk class of the same grading at width 3, must be refused
     cx = build_complex("steps", [("a1", 2), ("b1", 1), ("a2", 1), ("b2", 0)],
                        [("a1", "b1", Poly.u(1)), ("a2", "b2", Poly.u(1))])
     window = _Window(cx, 5)
-    shifts = [[], [], [2 * cx.rank - 1], []]
+    templates = [(0, 0), (0, 0), (1 << 2 * cx.rank - 1, 0), (0, 0)]
     with pytest.raises(CrossCheckMismatch,
                        match="induced map left the stable subspace"):
-        lefschetz._stable_traces(window, shifts, 2, 3)
+        lefschetz._stable_traces(window, templates, 2, 3)
 
 
 def test_quantity_equals_oracle_on_seeded_trials():
