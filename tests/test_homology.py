@@ -846,7 +846,8 @@ def _assert_masks_match_the_chain_round_trip(cx: GradedComplex,
         for v in ws.homology(g).reps + [rng.getrandbits(3 * cx.rank)]:
             chain = chain_of(ws, 0, v)
             assert mask_of(wb, 0, chain) == v
-            assert wb.map_mask(f_templates, v) == mask_of(wb, 0, f.apply_chain(chain))
+            assert (wb.map_mask(f_templates, v)
+                    == mask_of(wb, 0, f.apply_chain(chain)))
 
 
 def test_window_lift_and_map_match_the_chain_round_trip():
@@ -869,9 +870,9 @@ def test_window_lift_and_map_match_the_chain_round_trip_under_hypothesis(
 # ---------------------------------------------------------------------------
 # window maps against the stripe-and-shift reference
 #
-# Before each map became one template per generator, the window applied
-# it as lists of bit shifts: one window-wide AND per generator stripe,
-# then one window-wide shift per map term.  The copy here is that code.
+# The reference applies a map as lists of bit shifts, one per map term:
+# one window-wide AND per generator stripe, then one window-wide shift
+# per term.  Its cost follows the window's width, not the vector.
 
 
 def _shift_lists(w: _Window, cols: dict[int, list]) -> list[list[int]]:
