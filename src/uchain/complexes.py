@@ -10,7 +10,8 @@ Conventions, fixed package-wide:
   formats list the same data source-first (``d <source> <target> <poly>``).
   Past the trust boundary the engine reads them by generator position
   (k for ``generators[k]``): ``_at`` keys them (target position, source
-  position) in entry order, ``_cols`` by source; names go only to outputs.
+  position) in entry order, ``_cols`` by source, and ``_by_grading``
+  groups the positions by grading; names go only to outputs.
 * Everything is characteristic 2: no signs in duals, tensor products or
   mapping cones.
 
@@ -211,6 +212,14 @@ class GradedComplex:
     def _cols(self) -> dict[int, list]:
         """Column view of ``_at``, built once."""
         return _columns(self._at)
+
+    @cached_property
+    def _by_grading(self) -> dict[int, list[int]]:
+        """Grading -> ascending positions, keys in first-appearance order."""
+        out: dict[int, list[int]] = {}
+        for j, g in enumerate(self.generators):
+            out.setdefault(self.gradings[g], []).append(j)
+        return out
 
     def boundary_chain(self, chain: LaurentChain) -> LaurentChain:
         """Differential applied to a Laurent chain."""

@@ -155,12 +155,6 @@ def _replay(n: int, ops, one, addmul) -> tuple[list[dict], list[dict]]:
     return q, qi
 
 
-def _entries(q: list[dict], qi: list[dict]) -> tuple[dict, dict]:
-    """``_replay``'s Q columns and Q^-1 rows as (row, column) entry dicts."""
-    return ({(i, j): c for j, col in enumerate(q) for i, c in col.items()},
-            {(i, j): c for i, row in enumerate(qi) for j, c in row.items()})
-
-
 def _addmul(dst: dict, src: dict, c) -> None:
     """dst += c * src on sparse vectors of Poly or LocalScalar entries."""
     _accumulate(((k, c * v) for k, v in src.items()), dst)
@@ -304,17 +298,16 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
     """
     rng = random.Random(seed)
     gens = cx.generators
-    by_grading: dict[int, list[int]] = {}
-    for i, g in enumerate(gens):
-        by_grading.setdefault(cx.gradings[g], []).append(i)
-    groups = [v for v in by_grading.values() if len(v) >= 2]
+    groups = [v for v in cx._by_grading.values() if len(v) >= 2]
 
     ops: list[tuple[int, int, Poly]] = []
     if groups:
         for _ in range(steps):
             i, j = rng.sample(rng.choice(groups), 2)
             ops.append((i, j, Poly(rng.getrandbits(3) or 1)))
-    q_at, qi_at = _entries(*_replay(len(gens), ops, P1, _addmul))
+    q, qi = _replay(len(gens), ops, P1, _addmul)
+    q_at = {(i, j): c for j, col in enumerate(q) for i, c in col.items()}
+    qi_at = {(i, j): c for i, row in enumerate(qi) for j, c in row.items()}
     d = _mat_mul(_mat_mul(qi_at, cx._at), q_at)
 
     out = _complex(cx.name, [(g, cx.gradings[g]) for g in gens],
@@ -366,15 +359,18 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
             if p:
                 s_nf.append(((ti, si), LocalScalar(p)))
 
-    q_at, qi_at = _entries(*red.exact_transform())
-    s_at = _mat_mul(_mat_mul(q_at, _accumulate(s_nf)), qi_at)
+    q, qi = red.exact_transform()  # Q S Q^-1: Q's columns, then Q^-1's rows
+    qs = _accumulate(((t, s), c * x) for (m, s), x in _accumulate(s_nf).items()
+                     for t, c in q[m].items())
+    s_at = _accumulate(((t, s), y * c) for (t, m), y in qs.items()
+                       for s, c in qi[m].items())
     scaled = [(k, Poly(bits)) for k, bits
               in _clear_denominators(s_at).items()]
 
     h: dict[tuple[int, int], Poly] = {}
     for u, gu in enumerate(gens):
-        for v, gv in enumerate(gens):
-            if cx.gradings[gv] != cx.gradings[gu] + 1 or rng.random() < 0.5:
+        for v in cx._by_grading.get(cx.gradings[gu] + 1, ()):
+            if rng.random() < 0.5:
                 continue
             p = Poly(rng.getrandbits(3))
             if p:
@@ -402,13 +398,9 @@ def minor_gcd_check(cx: GradedComplex) -> tuple[int, ...]:
     if cx.rank > 12:
         raise RankTooLarge(f"rank {cx.rank} exceeds the minor-enumeration cap 12")
     ent = {k: p.bits for k, p in cx._at.items()}
-    gr = [cx.gradings[x] for x in cx.generators]
-    blocks: list[tuple[list[int], list[int]]] = []
-    for g in sorted(set(gr)):
-        cols = [j for j, x in enumerate(gr) if x == g]
-        rows = [j for j, x in enumerate(gr) if x == g - 1]
-        if cols and rows:
-            blocks.append((rows, cols))
+    by_grading = cx._by_grading
+    blocks = [(by_grading[g - 1], by_grading[g])
+              for g in sorted(by_grading) if g - 1 in by_grading]
 
     total: list[int | None] = [0]
     for rows, cols in blocks:

@@ -15,8 +15,10 @@ The shared text syntax for polynomials is ``0``, or the monomials ``1``,
 ``U``, ``U^k`` (k >= 2) joined by ``+``.  Spaces around ``+`` are
 tolerated on input and never produced on output.
 
-Exponents above 2**20, written or formed by a product, raise
-:class:`ExponentOverflow` instead of silently building enormous integers.
+Exponents above 2**20, written or formed by a ``Poly`` product (parsing,
+validation, the constructions), raise :class:`ExponentOverflow` instead of
+silently building enormous integers.  ``LocalScalar`` arithmetic, and with
+it the reduction's fractions, is not checked against the limit.
 """
 
 from __future__ import annotations

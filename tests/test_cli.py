@@ -429,6 +429,21 @@ def test_products_past_the_exponent_limit_exit_one(workdir, capsys):
     assert "exponent 1200000" in err["detail"]
 
 
+def test_reduction_fractions_are_not_bound_by_the_exponent_limit(workdir,
+                                                                 capsys):
+    # every exponent the file writes, and every product its validation
+    # forms, is inside 2^20; the reduction's fraction arithmetic is not
+    # checked against the limit and forms a product of degree 1600002
+    big = workdir / "frac.cx"
+    big.write_text("complex big\ngen a1 1\ngen a2 1\ngen b1 0\ngen b2 0\n"
+                   "d a1 b1 U^700000\nd a1 b2 U^700001\n"
+                   "d a2 b1 U^700002\nd a2 b2 1+U^900000\n")
+    code, out = _run(capsys, ["classify", str(big)])
+    assert code == 0
+    assert out == ('{"cancelled_pairs":1,"one_steps":[],'
+                   '"two_steps":[{"exponent":700000,"grading_a":1}]}\n')
+
+
 def test_unknown_verbs_are_rejected_by_the_parser(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", str(workdir / "two3.cx")])

@@ -41,6 +41,7 @@ from uchain.errors import (
 )
 from uchain.gf2 import rank
 from uchain.normal_form import (
+    NormalForm,
     classify,
     random_basis_change,
     random_chain_map,
@@ -400,6 +401,38 @@ def test_derived_constructions_pass_the_checks_they_skip():
         direct_sum(a, a)
     with pytest.raises(DuplicateGenerator):
         relabel(a, {"a": "b"})
+
+
+def _grouped_by_name(cx: GradedComplex) -> dict[int, list[int]]:
+    """Positions per grading, regrouped from names: gradings in order of
+    first appearance, each with its generators' positions in order."""
+    order = list(dict.fromkeys(cx.grading(g) for g in cx.generators))
+    return {k: [cx.generators.index(g) for g in cx.generators
+                if cx.grading(g) == k] for k in order}
+
+
+def test_by_grading_view_partitions_positions_by_grading():
+    gapped = NormalForm((-2, 2), ((2, 1), (-1, 3)))   # no generator in 0
+    inputs = [unit_complex(), build_complex("empty", [])]
+    for seed in range(16):
+        rng = random.Random(seed)
+        nf = gapped if seed % 4 == 0 else random_normal_form(rng, 8, 4)
+        cx = random_basis_change(realize(nf), seed=seed + 1,
+                                 steps=rng.randint(0, 12))
+        other = _random_complex(seed + 100, 4)
+        renamed = relabel(other, {x: x + "'" for x in other.generators})
+        inputs += [cx, dual(cx), tensor(cx, other),
+                   cone(random_chain_map(cx, seed=seed + 200)),
+                   direct_sum(cx, renamed), shift(cx, -3), renamed]
+    gaps = 0
+    for cx in inputs:
+        view = cx._by_grading
+        assert view is cx._by_grading
+        assert list(view.items()) == list(_grouped_by_name(cx).items())
+        assert all(v == sorted(set(v)) for v in view.values())
+        assert sorted(j for v in view.values() for j in v) == list(range(cx.rank))
+        gaps += bool(view) and len(view) <= max(view) - min(view)
+    assert gaps > 0
 
 
 def test_boundary_chain_tracks_laurent_exponents():
