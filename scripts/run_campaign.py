@@ -4,7 +4,8 @@
 For each (max_rank, max_exponent) cell this runs a seeded campaign and
 prints trials, failures and wall time.  With --mutate the dual derivative
 factor is replaced by the identity, which should make cells fail; use it
-to confirm the campaign has teeth.
+to confirm the campaign has teeth.  The exit status is nonzero when an
+unmutated cell fails, or when the mutated campaign fails in no cell.
 
     python3 scripts/run_campaign.py --trials 200 --seed 7
     python3 scripts/run_campaign.py --trials 100 --mutate
@@ -45,6 +46,8 @@ def main() -> None:
     if args.mutate:
         verdict = "caught" if worst else "NOT caught"
         print(f"mutation {verdict}: worst cell had {worst} failures")
+        if not worst:
+            raise SystemExit("the mutated campaign passed every cell")
     elif worst:
         raise SystemExit(f"{worst} failures in the worst cell")
     else:

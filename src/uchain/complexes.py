@@ -11,7 +11,10 @@ Conventions, fixed package-wide:
   Past the trust boundary the engine reads them by generator position
   (k for ``generators[k]``): ``_at`` keys them (target position, source
   position) in entry order, ``_cols`` by source, and ``_by_grading``
-  groups the positions by grading; names go only to outputs.
+  groups the positions by grading; names go only to outputs.  These
+  views are built on first use and kept on the object, as is
+  ``_reduced``, the records of ``normal_form.reduce_complex``'s pivot
+  loop; none of them refers back to the object.
 * Everything is characteristic 2: no signs in duals, tensor products or
   mapping cones.
 
@@ -24,7 +27,8 @@ composite and sum maps), and the seeded generators of ``normal_form``
 (``realize``, ``random_basis_change``, ``random_chain_map``), build from
 objects that already passed those checks and are valid by construction,
 so they skip them; every path still rejects duplicate generator names.
-Objects are treated as immutable.  Structural equality ignores names.
+Objects are treated as immutable, so the views cached on them stay
+valid.  Structural equality ignores names.
 
 Derived generators are named deterministically: ``g*`` for the dual of
 ``g``, ``x.y`` for tensor pairs, ``g[1]`` for the shifted copy inside a

@@ -33,7 +33,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .complexes import (ChainMap, GradedComplex, _accumulate, _chain_map,
                         _complex, _mat_mul, _named, identity_map)
@@ -181,7 +181,21 @@ def _clear_denominators(coeffs: dict) -> dict:
 
 
 def reduce_complex(cx: GradedComplex) -> Reduction:
-    """Run the valuation-pivot reduction; see the module docstring."""
+    """The valuation-pivot reduction of ``cx``; see the module docstring.
+
+    The pivot loop runs once per complex object: its records (2-steps,
+    1-steps, cancelled count and op log, all tuples) are kept on ``cx``
+    as ``_reduced``, and later calls wrap them in a fresh ``Reduction``.
+    The records hold no reference to ``cx``, so no reference cycle forms.
+    """
+    records = cx.__dict__.get("_reduced")
+    if records is None:
+        records = cx.__dict__["_reduced"] = _pivot_loop(cx)
+    return Reduction(cx, *records)
+
+
+def _pivot_loop(cx: GradedComplex) -> tuple[tuple, tuple, int, tuple]:
+    """(2-steps, 1-steps, cancelled count, op log) of one reduction run."""
     n = cx.rank
     rows: list[dict[int, LocalScalar]] = [{} for _ in range(n)]
     cols: list[set[int]] = [set() for _ in range(n)]
@@ -244,7 +258,7 @@ def reduce_complex(cx: GradedComplex) -> Reduction:
                 exponent=v, unit=unit))
 
     one_steps = sorted((i, cx.gradings[cx.generators[i]]) for i in active)
-    return Reduction(cx, two_steps, one_steps, cancelled, ops)
+    return tuple(two_steps), tuple(one_steps), cancelled, tuple(ops)
 
 
 def classify(cx: GradedComplex) -> NormalForm:
@@ -384,6 +398,25 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
 # independent invariant oracle: gcd valuations of k x k minors
 
 
+def _det(ent: dict, rt: tuple[int, ...], ct: tuple[int, ...], memo: dict) -> int:
+    """Bits of the minor of ``ent`` on rows ``rt`` and columns ``ct``,
+    expanded along the first row; ``memo`` keeps the minors expanded."""
+    if not rt:
+        return 1
+    acc = memo.get((rt, ct))
+    if acc is None:
+        # characteristic 2: determinant = permanent, no signs
+        acc = 0
+        for pos, c in enumerate(ct):
+            a = ent.get((rt[0], c), 0)
+            if a:
+                sub = _det(ent, rt[1:], ct[:pos] + ct[pos + 1:], memo)
+                if sub:
+                    acc ^= _pmul(a, sub)
+        memo[rt, ct] = acc
+    return acc
+
+
 def minor_gcd_check(cx: GradedComplex) -> tuple[int, ...]:
     """Torsion exponents from determinantal valuations of the differential.
 
@@ -404,26 +437,13 @@ def minor_gcd_check(cx: GradedComplex) -> tuple[int, ...]:
 
     total: list[int | None] = [0]
     for rows, cols in blocks:
-        @lru_cache(maxsize=None)
-        def det(rt: tuple[int, ...], ct: tuple[int, ...]) -> int:
-            # characteristic 2: determinant = permanent, no signs
-            if not rt:
-                return 1
-            acc = 0
-            for pos, c in enumerate(ct):
-                a = ent.get((rt[0], c), 0)
-                if a:
-                    sub = det(rt[1:], ct[:pos] + ct[pos + 1:])
-                    if sub:
-                        acc ^= _pmul(a, sub)
-            return acc
-
+        memo: dict = {}
         mins: list[int | None] = [0]
         for k in range(1, min(len(rows), len(cols)) + 1):
             best: int | None = None
             for rt in itertools.combinations(rows, k):
                 for ct in itertools.combinations(cols, k):
-                    dv = det(rt, ct)
+                    dv = _det(ent, rt, ct, memo)
                     if dv:
                         v = _val(dv)
                         if best is None or v < best:
@@ -431,7 +451,6 @@ def minor_gcd_check(cx: GradedComplex) -> tuple[int, ...]:
             if best is None:
                 break
             mins.append(best)
-        det.cache_clear()
 
         new: list[int | None] = [None] * (len(total) + len(mins) - 1)
         for i, a in enumerate(total):

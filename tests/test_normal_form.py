@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uchain import normal_form
 from uchain.complexes import (GradedComplex, _accumulate, build_complex,
                                compose, dual, identity_map, map_to_text,
                                tensor)
 from uchain.errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
+from uchain.homology import h_minus, h_plus, h_red
+from uchain.lefschetz import (delta_quantity, lefschetz_by_grading,
+                              verify_proposition)
 from uchain.normal_form import (
     NormalForm,
     TwoStepRecord,
@@ -518,6 +522,95 @@ def test_exact_replay_matches_the_dense_reference(seed, kind):
 def test_basis_change_matches_the_stepwise_reference(seed, kind, steps):
     _assert_basis_change_matches_stepwise(_replay_inputs(seed)[kind],
                                           seed + 1, steps)
+
+
+# ---------------------------------------------------------------------------
+# one pivot loop per complex object
+
+
+def _fresh_copy(cx: GradedComplex) -> GradedComplex:
+    """A structurally equal complex that shares no cached view with cx."""
+    return GradedComplex(cx.name, cx.generators, dict(cx.gradings), dict(cx.d))
+
+
+def _reduction_data(red) -> tuple:
+    return (red.two_steps, red.one_steps, red.cancelled_pairs, red.ops,
+            red.series_transform(), red.exact_transform())
+
+
+def _assert_second_call_matches_a_fresh_copy(cx: GradedComplex) -> None:
+    first = reduce_complex(cx)
+    first.series_transform()
+    second = reduce_complex(cx)
+    assert second is not first and second.complex is cx
+    # the records are shared, the transforms are the new Reduction's own
+    assert second.ops is first.ops and second.two_steps is first.two_steps
+    assert second._series is None and second._exact is None
+    fresh = reduce_complex(_fresh_copy(cx))
+    assert _reduction_data(second) == _reduction_data(fresh)
+    assert _reduction_data(first) == _reduction_data(fresh)
+
+
+def test_a_second_reduction_matches_a_fresh_copy_on_seeded_complexes():
+    kinds = [0, 0, 0]
+    for seed in range(30):
+        cx = _with_unit_summands(seed)
+        red = reduce_complex(cx)
+        kinds[0] += bool(red.one_steps)
+        kinds[1] += bool(red.cancelled_pairs)
+        kinds[2] += bool(red.two_steps)
+        _assert_second_call_matches_a_fresh_copy(cx)
+    assert kinds == [30, 30, 30]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       unit_summands=st.booleans())
+def test_a_second_reduction_matches_a_fresh_copy(seed, unit_summands):
+    cx = _with_unit_summands(seed) if unit_summands else _random_pair(seed)[1]
+    _assert_second_call_matches_a_fresh_copy(cx)
+
+
+@pytest.fixture()
+def pivot_loops(monkeypatch):
+    """The complexes the private pivot loop runs on, in call order."""
+    seen: list[GradedComplex] = []
+    loop = normal_form._pivot_loop
+
+    def counting(cx):
+        seen.append(cx)
+        return loop(cx)
+
+    monkeypatch.setattr(normal_form, "_pivot_loop", counting)
+    return seen
+
+
+def test_a_campaign_trial_runs_the_pivot_loop_once(pivot_loops):
+    for seed in range(8):
+        pivot_loops.clear()
+        assert verify_proposition(seed, 1, 8, 6).passed
+        assert len(pivot_loops) == 1
+
+
+def test_every_reader_of_one_complex_shares_one_pivot_loop(pivot_loops):
+    nf = random_normal_form(random.Random(3), 8, 5, one_steps=False)
+    cx = random_basis_change(realize(nf), seed=4, steps=15)
+    f = random_chain_map(cx, seed=5)
+    delta_quantity(cx, f)
+    lefschetz_by_grading(cx, f)
+    h_minus(cx), h_plus(cx), h_red(cx, "minus"), h_red(cx, "plus")
+    classify(cx)
+    assert len(pivot_loops) == 1 and pivot_loops[0] is cx
+
+
+def test_derived_complexes_and_copies_run_their_own_pivot_loop(pivot_loops):
+    cx = _random_pair(4)[1]
+    cd = dual(cx)
+    product = tensor(cx, cd)
+    copy = _fresh_copy(cx)
+    for other in (cx, cd, product, copy, cx, cd, product, copy):
+        reduce_complex(other)
+    assert list(map(id, pivot_loops)) == list(map(id, (cx, cd, product, copy)))
 
 
 # ---------------------------------------------------------------------------
