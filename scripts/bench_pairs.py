@@ -2,20 +2,30 @@
 """Alternating before/after pairs of perfbench runs, summarized per metric.
 
     python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
-        --workload campaign --seeds 2401-2410 --seconds 30 --out BENCH_24.json
+        --workload campaign --seeds 2401-2410 --out BENCH_24.json
 
 Runs ``perfbench/run.py --trace 0`` in the two checkout directories, one
-seed per pair, the first side alternating from pair to pair (the first
-pair parent first).  Every run's result goes to ``--out`` in the layout
-of the ``BENCH_<n>.json`` files: per workload the seeds, every run, and
-per end-to-end metric each side's median and quartiles
+seed per pair, each run as long as the change's BENCHMARK.json sets
+(``run_seconds``), the first side alternating from pair to pair (the
+first pair parent first).  Every run's result goes to ``--out`` in the
+layout of the ``BENCH_<n>.json`` files: per workload the seeds, every
+run, and per end-to-end metric each side's median and quartiles
 (``statistics.quantiles(n=4, method="inclusive")``), the pairs the change
-won, the median change against the metric's bound in the change's
+won, the median change checked against the metric's bound in that
 BENCHMARK.json, and whether the claim rule (the change wins at least 9 in
 10 pairs and its median beats the parent's by more than the parent's
-interquartile range) holds.  An existing ``--out`` keeps its other keys,
-so notes written by hand survive, and a workload run again gets its new
-runs appended and its summary recomputed over all of them.
+interquartile range) holds.
+
+The bound check reads ``"worse"`` when the change's median is worse than
+the parent's by more than the bound.  Otherwise it reads
+``"unresolved"`` when the parent's own runs spread wider than the bound
+(interquartile range over median) and not every run of the change reads
+better than every run of the parent, since a median inside so wide a
+spread cannot show the metric unchanged; else ``"within"``.
+
+An existing ``--out`` keeps its other keys, so notes written by hand
+survive, and a workload run again gets its new runs appended and its
+summary recomputed over all of them.
 
 The script reads perfbench and never edits it; it uses the standard
 library only.
@@ -93,11 +103,19 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
         wins = sum(sign * (c - p) > 0
                    for p, c in zip(vals["parent"], vals["change"]))
         rel = st["change"]["median"] / st["parent"]["median"] - 1
+        spread = iqr / st["parent"]["median"]
+        all_better = (min(sign * c for c in vals["change"])
+                      > max(sign * p for p in vals["parent"]))
+        if sign * rel < -m["bound"]:
+            check = "worse"
+        elif spread > m["bound"] and not all_better:
+            check = "unresolved"
+        else:
+            check = "within"
         out[name] = {
             **st, "pairs": len(pairs), "change_wins": wins,
-            "median_change": round(rel, 4),
-            "within_bound": sign * rel >= -m["bound"],
-            "parent_iqr": round(iqr, 4),
+            "median_change": round(rel, 4), "bound_check": check,
+            "parent_iqr": round(iqr, 4), "parent_spread": round(spread, 4),
             "claim_rule_met": (wins >= math.ceil(0.9 * len(pairs))
                                and gain > iqr),
         }
@@ -127,14 +145,14 @@ def main() -> None:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True,
                     help="one seed per pair, e.g. 2401-2410")
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    seconds = declared["run_seconds"]
     doc.setdefault("harness", "python3 perfbench/run.py --workload <w> "
-                   f"--seed <s> --seconds {args.seconds:g} --trace 0")
+                   f"--seed <s> --seconds {seconds:g} --trace 0")
     doc["host"] = {**doc.get("host", {}), "nproc": os.cpu_count(),
                    "python": platform.python_version()}
     doc.setdefault("quartiles",
@@ -147,7 +165,7 @@ def main() -> None:
     for k, seed in enumerate(args.seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
-            r = run_once(checkouts[side], args.workload, seed, args.seconds)
+            r = run_once(checkouts[side], args.workload, seed, seconds)
             runs.append({"pair": first_pair + k, "seed": seed, "side": side,
                          "first": order[0], **r})
             print(f"{args.workload} seed {seed} {side}: "
@@ -158,7 +176,7 @@ def main() -> None:
     for name, s in summary.items():
         print(f"{name}: {s['parent']['median']} -> {s['change']['median']} "
               f"({s['median_change']:+.1%}, change won {s['change_wins']}/"
-              f"{s['pairs']}, within bound {s['within_bound']})")
+              f"{s['pairs']}, bound check {s['bound_check']})")
 
 
 if __name__ == "__main__":

@@ -9,13 +9,17 @@ garbage on every call and make the collector run over long campaigns.
 
 The CLI verbs are run through their command functions on arguments
 parsed beforehand, so argparse's internals, which differ across Python
-versions, stay outside the check.
+versions, stay outside the check.  The verbs also read and write files
+through the standard library, whose internals differ across versions
+too, and they have been checked on Python 3.11 only, so their cases run
+there alone until they have been checked on the other versions CI runs.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+import sys
 
 import pytest
 
@@ -88,6 +92,9 @@ def test_the_engine_leaves_no_cyclic_garbage(name):
     _assert_no_cyclic_garbage(CALLS[name])
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the verbs' standard-library calls are checked "
+                           "for cyclic garbage on Python 3.11 only")
 @pytest.mark.parametrize("argv", VERBS,
                          ids=lambda v: " ".join(a for a in v if "{" not in a))
 def test_cli_verbs_leave_no_cyclic_garbage(argv, tmp_path):

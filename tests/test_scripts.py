@@ -74,7 +74,8 @@ def test_bench_pairs_summary_reads_medians_quartiles_and_wins():
     assert ops["parent"] == {"median": 100.0, "q1": 95.0, "q3": 105.0}
     assert ops["change"] == {"median": 120.0, "q1": 115.0, "q3": 125.0}
     assert (ops["pairs"], ops["change_wins"]) == (5, 4)
-    assert ops["median_change"] == 0.2 and ops["within_bound"]
+    assert ops["median_change"] == 0.2 and ops["bound_check"] == "within"
+    assert ops["parent_spread"] == 0.1
     # 4 of 5 wins is below the 9-in-10 rule, though the gain beats the IQR
     assert ops["parent_iqr"] == 10.0 and not ops["claim_rule_met"]
     p50 = entry["summary"]["op_ms_p50"]
@@ -88,7 +89,7 @@ def test_bench_pairs_summary_reads_medians_quartiles_and_wins():
     runs.append({**runs[0], "pair": 9})
     ops = bench["workload_entry"](runs, declared)["summary"]["ops_per_s"]
     assert ops["pairs"] == 5 and ops["change_wins"] == 0
-    assert not ops["within_bound"] and not ops["claim_rule_met"]
+    assert ops["bound_check"] == "worse" and not ops["claim_rule_met"]
     assert bench["parse_seeds"]("7-9,12") == [7, 8, 9, 12]
 
     # 9 wins in 10 pairs and a gain past the parent's IQR meet the rule
@@ -96,3 +97,26 @@ def test_bench_pairs_summary_reads_medians_quartiles_and_wins():
     change = [v + 20 for v in parent[:9]] + [95.0]
     ops = bench["summarize"](_canned_runs(parent, change), declared)["ops_per_s"]
     assert ops["change_wins"] == 9 and ops["claim_rule_met"]
+
+
+def test_bench_pairs_reads_a_metric_spread_wider_than_its_bound_as_unresolved():
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    declared = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                {"name": "op_ms_p50", "better": "lower", "bound": 0.25}]
+    parent = [60.0, 100.0, 140.0, 80.0, 120.0]     # IQR 40 on a median of 100
+
+    def checks(change):
+        summary = bench["summarize"](_canned_runs(parent, change), declared)
+        return {k: s["bound_check"] for k, s in summary.items()}
+
+    # a median inside the parent's spread shows nothing either way
+    assert checks([v + 5 for v in parent]) == {
+        "ops_per_s": "unresolved", "op_ms_p50": "unresolved"}
+    assert checks([v - 5 for v in parent]) == {
+        "ops_per_s": "unresolved", "op_ms_p50": "unresolved"}
+    # every change run better than every parent run resolves it
+    assert checks([150.0, 145.0, 160.0, 142.0, 155.0]) == {
+        "ops_per_s": "within", "op_ms_p50": "within"}
+    # a median past the bound reads worse, however wide the spread
+    assert checks([v * 0.7 for v in parent]) == {
+        "ops_per_s": "worse", "op_ms_p50": "worse"}
