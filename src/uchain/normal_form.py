@@ -420,57 +420,33 @@ def _det(ent: dict, rt: tuple[int, ...], ct: tuple[int, ...], memo: dict) -> int
 def minor_gcd_check(cx: GradedComplex) -> tuple[int, ...]:
     """Torsion exponents from determinantal valuations of the differential.
 
-    For each k let d_k be the minimal U-adic valuation over all nonzero
-    k x k minors of d (d_0 = 0); the invariant-factor valuations are
-    e_k = d_k - d_{k-1} and the sorted positive ones form the 2-step
-    exponent multiset.  Minors are enumerated directly -- no row
-    reduction -- so the rank is capped at 12.  Grading homogeneity makes
-    d a permuted block-diagonal matrix with one block per grading, and
-    the minimal valuations combine across blocks by min-plus convolution.
+    Grading homogeneity makes d a permuted direct sum of its grading
+    blocks: the block for grading g has rows of grading g-1 and columns of
+    grading g.  Over the discrete valuation ring F2[U]_(U) the invariant
+    factors of a direct sum are those of its blocks taken together, so
+    each block is read on its own.  For k = 1, 2, ... let d_k be the least
+    U-adic valuation over the block's nonzero k x k minors (d_0 = 0),
+    stopping at the first k with none; the block's invariant-factor
+    valuations are e_k = d_k - d_{k-1}.  The sorted positive e's of all
+    blocks form the 2-step exponent multiset.  Minors are enumerated
+    directly -- no row reduction -- so the rank is capped at 12.
     """
     if cx.rank > 12:
         raise RankTooLarge(f"rank {cx.rank} exceeds the minor-enumeration cap 12")
     ent = {k: p.bits for k, p in cx._at.items()}
     by_grading = cx._by_grading
-    blocks = [(by_grading[g - 1], by_grading[g])
-              for g in sorted(by_grading) if g - 1 in by_grading]
-
-    total: list[int | None] = [0]
-    for rows, cols in blocks:
-        memo: dict = {}
-        mins: list[int | None] = [0]
-        for k in range(1, min(len(rows), len(cols)) + 1):
-            best: int | None = None
-            for rt in itertools.combinations(rows, k):
-                for ct in itertools.combinations(cols, k):
-                    dv = _det(ent, rt, ct, memo)
-                    if dv:
-                        v = _val(dv)
-                        if best is None or v < best:
-                            best = v
-            if best is None:
-                break
-            mins.append(best)
-
-        new: list[int | None] = [None] * (len(total) + len(mins) - 1)
-        for i, a in enumerate(total):
-            if a is None:
-                continue
-            for j, b in enumerate(mins):
-                if b is None:
-                    continue
-                cur = new[i + j]
-                if cur is None or a + b < cur:
-                    new[i + j] = a + b
-        total = new
-
     exps = []
-    prev = 0
-    for k in range(1, len(total)):
-        if total[k] is None:
-            break
-        e = total[k] - prev
-        prev = total[k]
-        if e > 0:
-            exps.append(e)
-    return tuple(sorted(exps))
+    for g, cols in by_grading.items():
+        rows = by_grading.get(g - 1, ())
+        memo: dict = {}
+        prev = 0
+        for k in range(1, min(len(rows), len(cols)) + 1):
+            vals = [_val(dv) for rt in itertools.combinations(rows, k)
+                    for ct in itertools.combinations(cols, k)
+                    if (dv := _det(ent, rt, ct, memo))]
+            if not vals:
+                break
+            d_k = min(vals)
+            exps.append(d_k - prev)
+            prev = d_k
+    return tuple(sorted(e for e in exps if e > 0))

@@ -84,9 +84,7 @@ def _val(a: int) -> int:
 
 
 def _series_inv(d: int, order: int) -> int:
-    """Inverse of d (constant term 1) in F2[[U]] modulo U^order."""
-    if order <= 0:
-        return 0
+    """Inverse of d (constant term 1) in F2[[U]] modulo U^order, order >= 1."""
     x = 1
     prec = 1
     while prec < order:
@@ -129,16 +127,8 @@ def _parse_bits(text: str, line: int | None = None) -> int:
 
 
 def _format_bits(bits: int) -> str:
-    if bits == 0:
-        return "0"
-    parts = []
-    k = 0
-    while bits:
-        if bits & 1:
-            parts.append("1" if k == 0 else "U" if k == 1 else f"U^{k}")
-        bits >>= 1
-        k += 1
-    return "+".join(parts)
+    return "+".join("1" if k == 0 else "U" if k == 1 else f"U^{k}"
+                    for k in set_bits(bits)) or "0"
 
 
 # ---------------------------------------------------------------------------

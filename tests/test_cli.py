@@ -178,6 +178,15 @@ def test_cone_emits_a_reparsable_complex(workdir, capsys):
     reference = build_complex("two", [("a", 1), ("b", 0)],
                               [("a", "b", Poly.u(3))])
     assert emitted == cone(identity_map(reference))
+    # the exact bytes of a cone with an exponent at the limit
+    (workdir / "big.cx").write_text(
+        "complex big\ngen a 1\ngen b 0\nd a b U^1048576\n")
+    (workdir / "big.map").write_text(ID_MAP.replace("two", "big"))
+    big = str(workdir / "big.cx")
+    assert _run(capsys, ["cone", big, big, str(workdir / "big.map")]) == (
+        0, '{"complex":"complex cone(id)\\ngen a[1] 2\\ngen b[1] 1\\n'
+        'gen a 1\\ngen b 0\\nd a[1] b[1] U^1048576\\nd a[1] a 1\\n'
+        'd b[1] b 1\\nd a b U^1048576\\n"}\n')
 
 
 def test_mapping_torus_of_the_circle(workdir, capsys):
@@ -384,6 +393,8 @@ def test_map_with_wrong_declared_source_exits_two(workdir, capsys):
     (TWO_STEP_3, ID_MAP.replace("f b b 1", "f b b"), 3,
      '{"detail":"line 6: expected \'f <source> <target> <poly>\' '
      '(at \'f b b\')","kind":"ParseError"}'),
+    (TWO_STEP_3, ID_MAP.replace("f a a 1", "f zz a 1"), 1,
+     '{"detail":"unknown source generator \'zz\'","kind":"GradingViolation"}'),
 ])
 def test_input_errors_print_their_exact_payload(workdir, capsys, complex_text,
                                                 map_text, code, payload):

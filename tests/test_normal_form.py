@@ -640,3 +640,18 @@ def test_minor_gcd_agrees_with_classify():
     for seed in range(40):
         nf, cx = _random_pair(seed, max_rank=6)
         assert minor_gcd_check(cx) == nf.exponents()
+    # cancelled pairs: valuation-0 invariant factors inside a torsion block
+    for seed in range(20):
+        cx = _with_unit_pair(seed, max_rank=6)
+        assert reduce_complex(cx).cancelled_pairs == 1
+        assert minor_gcd_check(cx) == classify(cx).exponents()
+    # 1-steps in both gradings of a 2-step and one more, scrambled together
+    for seed in range(20):
+        rng = random.Random(seed)
+        nf = random_normal_form(rng, max_rank=6, max_exponent=4,
+                                one_steps=False)
+        g, _ = nf.two_steps[0]
+        nf = NormalForm((g, g - 1, rng.randint(-2, 2)), nf.two_steps)
+        cx = random_basis_change(realize(nf), seed=seed + 1, steps=20)
+        assert classify(cx) == nf
+        assert minor_gcd_check(cx) == nf.exponents()

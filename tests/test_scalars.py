@@ -256,6 +256,8 @@ def test_parse_error_reports_line_and_token():
 
 def test_exponents_beyond_the_limit_are_rejected():
     Poly.u(EXPONENT_LIMIT)  # the boundary itself is fine
+    # and prints exactly, from its three set bits
+    assert str(Poly.of(0, 1, EXPONENT_LIMIT)) == f"1+U+U^{EXPONENT_LIMIT}"
     with pytest.raises(ExponentOverflow):
         Poly.u(EXPONENT_LIMIT + 1)
     with pytest.raises(ExponentOverflow):
