@@ -11,14 +11,16 @@ cycles whose top bit is not a boundary pivot as representatives and
 reads a class off one walk down both sets of rows, so the Lefschetz
 oracle walks its classes as masks from end to end.
 
-``rank``, ``eliminate`` and ``Quotient.coords`` walk pivots one way, the
-column reduction of persistence (Zomorodian & Carlsson 2005), and no
-span here tracks which added vectors combine to a row.
+``eliminate`` and ``Quotient.coords`` walk pivots one way, the column
+reduction of persistence (Zomorodian & Carlsson 2005), and no span here
+tracks which added vectors combine to a row; ``rank`` counts the rows of
+one ``eliminate``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import count
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["rank", "eliminate", "Quotient", "set_bits"]
@@ -34,16 +36,10 @@ def set_bits(mask: int) -> Iterator[int]:
 
 
 def rank(vectors: Iterable[int]) -> int:
-    rows: Dict[int, int] = {}
-    for vec in vectors:
-        while vec and (row := rows.get(vec.bit_length() - 1)):
-            vec ^= row
-        if vec:
-            rows[vec.bit_length() - 1] = vec
-    return len(rows)
+    return len(eliminate(vectors, count())[1])
 
 
-def eliminate(vectors: List[int], positions: List[int],
+def eliminate(vectors: Iterable[int], positions: Iterable[int],
               ) -> Tuple[List[int], Dict[int, int]]:
     """One Gaussian elimination of ``vectors``, in order: a basis of the
     combinations that XOR to zero, vector k tagged by bit ``positions[k]``,

@@ -68,22 +68,16 @@ def phi_dual(cx: GradedComplex) -> ChainMap:
 def trace_map(cx: GradedComplex) -> ChainMap:
     """Evaluation map from tensor(C, dual(C)) to the one-generator complex:
     g tensor g-dual goes to 1, mixed pairs to 0."""
-    return _trace_maps(cx)[0]
+    diagonal = [_pair_id(g, _dual_id(g)) for g in cx.generators]
+    return _chain_map(f"tr({cx.name})", tensor(cx, dual(cx)), unit_complex(),
+                      0, [(("1", s), P1) for s in diagonal])
 
 
 def cotrace_map(cx: GradedComplex) -> ChainMap:
     """The other direction: 1 goes to the sum of g tensor g-dual."""
-    return _trace_maps(cx)[1]
-
-
-def _trace_maps(cx: GradedComplex) -> tuple[ChainMap, ChainMap]:
-    """Trace and cotrace on one build of tensor(C, dual(C))."""
-    pair, unit = tensor(cx, dual(cx)), unit_complex()
     diagonal = [_pair_id(g, _dual_id(g)) for g in cx.generators]
-    return (_chain_map(f"tr({cx.name})", pair, unit, 0,
-                       [(("1", s), P1) for s in diagonal]),
-            _chain_map(f"cotr({cx.name})", unit, pair, 0,
-                       [((s, "1"), P1) for s in diagonal]))
+    return _chain_map(f"cotr({cx.name})", unit_complex(), tensor(cx, dual(cx)),
+                      0, [((s, "1"), P1) for s in diagonal])
 
 
 def _check_endomorphism(cx: GradedComplex, f: ChainMap) -> None:

@@ -105,6 +105,17 @@ def test_classify_emits_sorted_normal_form(workdir, capsys):
                    '"two_steps":[{"exponent":3,"grading_a":1}]}\n')
 
 
+@pytest.mark.parametrize("entries", ["d a b 0\n", "d a b U\nd a b U\n"])
+def test_entries_that_sum_to_zero_store_nothing(tmp_path, capsys, entries):
+    text = "complex z\ngen a 1\ngen b 0\n" + entries
+    assert parse_complex(text).d == {}
+    (tmp_path / "z.cx").write_text(text)
+    code, out = _run(capsys, ["classify", str(tmp_path / "z.cx")])
+    assert code == 0
+    assert out == ('{"cancelled_pairs":0,"one_steps":[{"grading":0},'
+                   '{"grading":1}],"two_steps":[]}\n')
+
+
 def test_homology_defaults_to_the_minus_flavor(workdir, capsys):
     code, out = _run(capsys, ["homology", str(workdir / "two3.cx")])
     assert code == 0

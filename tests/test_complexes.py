@@ -169,6 +169,26 @@ def test_tensor_of_two_step_with_its_dual_is_the_diamond():
                    ("b.a*", "a.a*"): u2, ("b.a*", "b.b*"): u2}
 
 
+def test_classify_of_a_tensor_follows_kunneth():
+    # over F2[U], (g, n) (x) (h, m) is two 2-steps of exponent min(n, m) at
+    # g + h and g + h - 1, a 2-step times a 1-step is a 2-step and two
+    # 1-steps give a 1-step
+    for seed in range(150):
+        rng = random.Random(seed)
+        nfa, nfb = (random_normal_form(rng, max_rank=6, max_exponent=5)
+                    for _ in range(2))
+        a = random_basis_change(realize(nfa, "a"), seed=seed + 1,
+                                steps=rng.randint(0, 12))
+        b = random_basis_change(realize(nfb, "b"), seed=seed + 2,
+                                steps=rng.randint(0, 12))
+        twos = [(g + h - k, min(n, m)) for g, n in nfa.two_steps
+                for h, m in nfb.two_steps for k in (0, 1)]
+        twos += [(g + h, n) for g, n in nfa.two_steps for h in nfb.one_steps]
+        twos += [(g + h, n) for h in nfa.one_steps for g, n in nfb.two_steps]
+        ones = [g + h for g in nfa.one_steps for h in nfb.one_steps]
+        assert classify(tensor(a, b)) == NormalForm(tuple(ones), tuple(twos))
+
+
 def test_tensor_with_the_unit_complex_is_the_identity():
     for seed in range(5):
         cx = _random_complex(seed)

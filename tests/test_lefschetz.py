@@ -24,6 +24,7 @@ from uchain.complexes import (
     relabel,
     scalar_map,
     tensor,
+    tensor_map,
     zero_map,
 )
 from uchain.errors import (
@@ -586,6 +587,117 @@ def test_quantity_equals_oracle_on_seeded_trials():
         cx = _torsion_complex(seed, max_rank=6, max_exponent=5)
         f = random_chain_map(cx, seed=seed * 31 + 7)
         assert delta_quantity(cx, f) == lefschetz_oracle(cx, f)
+
+
+# ---------------------------------------------------------------------------
+# relations between constructions: each is an oracle of its own
+
+
+def _campaign_trial(index: int) -> tuple[GradedComplex, ChainMap]:
+    """Trial ``index`` of verify_proposition(20260814, ..., 8, 6)."""
+    rng = random.Random(_trial_seed(20260814, index))
+    nf = random_normal_form(rng, 8, 6, one_steps=False)
+    cx = random_basis_change(realize(nf, name=f"trial{index}"),
+                             seed=rng.getrandbits(32), steps=rng.randint(0, 20))
+    return cx, random_chain_map(cx, rng.getrandbits(32))
+
+
+def _with_cancelled_pairs(seed: int, exponents: list[int], cancelled: int,
+                          steps: int) -> tuple[GradedComplex, ChainMap]:
+    """Scrambled 2-steps a_k -> U^n b_k beside acyclic pairs c -> e in the
+    2-steps' gradings, with a random chain endomorphism."""
+    rng = random.Random(seed)
+    gens: list[tuple[str, int]] = []
+    entries = []
+    for k, n in enumerate(exponents):
+        g = rng.randint(-1, 1)
+        gens += [(f"a{k}", g), (f"b{k}", g - 1)]
+        entries.append((f"a{k}", f"b{k}", Poly.u(n)))
+    for k in range(cancelled):
+        g = gens[2 * rng.randrange(len(exponents))][1]
+        gens += [(f"c{k}", g), (f"e{k}", g - 1)]
+        entries.append((f"c{k}", f"e{k}", Poly(2 * rng.getrandbits(2) + 1)))
+    cx = random_basis_change(build_complex("model", gens, entries),
+                             seed=seed + 1, steps=steps)
+    return cx, random_chain_map(cx, seed + 2)
+
+
+def _direct_sum(cx: GradedComplex, f: ChainMap, other: GradedComplex,
+                g: ChainMap) -> tuple[GradedComplex, ChainMap]:
+    """cx (+) other, other's generators primed, with f (+) g."""
+    primed = relabel(other, {x: x + "'" for x in other.generators}, name="o")
+    s = direct_sum(cx, primed)
+    return s, build_chain_map(
+        f"{f.name}(+){g.name}", s, s, 0,
+        [(src, tgt, p) for (tgt, src), p in f.entries.items()]
+        + [(src + "'", tgt + "'", p) for (tgt, src), p in g.entries.items()])
+
+
+def _nonzero(traces: dict[int, int]) -> dict[int, int]:
+    return {g: t for g, t in traces.items() if t}
+
+
+def _assert_duality(cx: GradedComplex, f: ChainMap) -> bool:
+    """The transpose of f on dual(cx) has the graded traces of f with
+    grading g moved to 1 - g, and the same duality quantity.  Building the
+    transpose through build_chain_map checks that it is a chain map.
+    Returns whether some trace is nonzero."""
+    dcx = dual(cx)
+    ft = build_chain_map(f"{f.name}^T", dcx, dcx, 0,
+                         [(_dual_id(t), _dual_id(s), p)
+                          for (t, s), p in f.entries.items()])
+    traces = _nonzero(lefschetz_by_grading(cx, f))
+    assert _nonzero(lefschetz_by_grading(dcx, ft)) == \
+        {1 - g: t for g, t in traces.items()}
+    assert delta_quantity(dcx, ft) == delta_quantity(cx, f)
+    return bool(traces)
+
+
+def test_lefschetz_numbers_respect_duality():
+    # campaign trials, complexes with cancelled pairs, and direct sums and
+    # tensor products of trials
+    inputs = [_campaign_trial(index) for index in range(200)]
+    inputs += [_with_cancelled_pairs(seed, [1 + seed % 5, 2], 1 + seed % 2,
+                                     steps=12)
+               for seed in range(60)]
+    inputs += [_direct_sum(*inputs[k], *inputs[k + 1]) for k in range(0, 80, 2)]
+    small = [trial for trial in inputs[:200] if trial[0].rank <= 4]
+    inputs += [(tensor(cx, other), tensor_map(f, h))
+               for (cx, f), (other, g) in zip(small[:40:2], small[1:40:2])
+               for h in (g, identity_map(other))]
+    # not on zero traces alone: 100 of these 340 have a nonzero one
+    assert sum(_assert_duality(cx, f) for cx, f in inputs) > len(inputs) // 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       exponents=st.lists(st.integers(min_value=1, max_value=6),
+                          min_size=1, max_size=3),
+       cancelled=st.integers(min_value=0, max_value=2),
+       steps=st.integers(min_value=0, max_value=25))
+def test_lefschetz_numbers_respect_duality_under_hypothesis(
+        seed, exponents, cancelled, steps):
+    _assert_duality(*_with_cancelled_pairs(seed, exponents, cancelled, steps))
+
+
+def test_graded_traces_are_invariant_under_conjugation():
+    for index in range(150):
+        cx, f = _campaign_trial(index)
+        moved, iso, iso_inv = random_basis_change(cx, seed=index, steps=12,
+                                                  with_iso=True)
+        conj = compose(iso_inv, compose(f, iso))
+        assert lefschetz_by_grading(moved, conj) == lefschetz_by_grading(cx, f)
+
+
+def test_graded_traces_and_quantity_add_over_direct_sums():
+    for index in range(0, 200, 2):
+        (cx, f), (other, g) = _campaign_trial(index), _campaign_trial(index + 1)
+        s, fs = _direct_sum(cx, f, other, g)
+        a, b = lefschetz_by_grading(cx, f), lefschetz_by_grading(other, g)
+        assert _nonzero(lefschetz_by_grading(s, fs)) == _nonzero(
+            {k: a.get(k, 0) ^ b.get(k, 0) for k in a.keys() | b.keys()})
+        assert delta_quantity(s, fs) == \
+            delta_quantity(cx, f) ^ delta_quantity(other, g)
 
 
 # ---------------------------------------------------------------------------
