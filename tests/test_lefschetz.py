@@ -17,10 +17,12 @@ from uchain.complexes import (
     LaurentChain,
     build_chain_map,
     build_complex,
+    complex_to_text,
     compose,
     direct_sum,
     dual,
     identity_map,
+    map_to_text,
     relabel,
     scalar_map,
     tensor,
@@ -794,6 +796,23 @@ def test_mutated_campaign_bytes_are_pinned():
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
     assert digest.hexdigest() == (
         "9b9422768dc83b328857f02e3b4f662af646c61ee7b8b1702f55a28b5b8789ca")
+
+
+def test_campaign_trial_stream_is_pinned(monkeypatch):
+    """The complex and map text of every trial of the fixed-seed campaign,
+    as the bytes a change to either trial generator would move."""
+    texts = []
+
+    def spy(cx, f, **kwargs):
+        texts.append(complex_to_text(cx) + map_to_text(f))
+        return delta_quantity(cx, f, **kwargs)
+
+    monkeypatch.setattr(lefschetz, "delta_quantity", spy)
+    assert verify_proposition(20260814, 500, 8, 6).passed
+    assert len(texts) == 500
+    digest = hashlib.sha256("".join(texts).encode())
+    assert digest.hexdigest() == (
+        "bf97401c3c8837d546aa1184ea8addfdacfa8c7e0a3b0578553a25e6cdf17093")
 
 
 def test_deep_exponent_traces_are_pinned():

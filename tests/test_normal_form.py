@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from uchain import normal_form
 from uchain.complexes import (GradedComplex, _accumulate, build_complex,
-                               compose, dual, identity_map, map_to_text,
-                               tensor)
-from uchain.errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
+                               complex_to_text, compose, dual, identity_map,
+                               map_to_text, tensor)
+from uchain.errors import (CrossCheckMismatch, ExponentOverflow,
+                           ParameterOutOfRange, RankTooLarge)
 from uchain.homology import h_minus, h_plus, h_red
 from uchain.lefschetz import (delta_quantity, lefschetz_by_grading,
                               verify_proposition)
@@ -28,7 +29,7 @@ from uchain.normal_form import (
     realize,
     reduce_complex,
 )
-from uchain.scalars import LS0, LS1, LocalScalar, Poly, _val
+from uchain.scalars import EXPONENT_LIMIT, LS0, LS1, LocalScalar, Poly, _val
 
 
 def _random_pair(seed: int, max_rank: int = 6, max_exponent: int = 5):
@@ -194,6 +195,28 @@ def test_basis_change_preserves_gradings():
     assert out.gradings == cx.gradings
 
 
+def test_basis_change_past_the_exponent_limit_raises():
+    """Two a -> U^(2^20) b summands in one grading: a step whose product
+    passes the exponent limit raises ExponentOverflow and returns no
+    complex.  The (seed, steps) whose steps stay within it are pinned."""
+    limit = EXPONENT_LIMIT
+    cx = build_complex("deep", [("a0", 1), ("b0", 0), ("a1", 1), ("b1", 0)],
+                       [("a0", "b0", Poly.u(limit)),
+                        ("a1", "b1", Poly.u(limit))])
+    within = set()
+    for seed in range(40):
+        for steps in range(1, 6):
+            try:
+                out = random_basis_change(cx, seed=seed, steps=steps)
+            except ExponentOverflow:
+                continue
+            within.add((seed, steps))
+            assert max(p.degree() for p in out.d.values()) == limit
+    assert within == {(0, 3), (1, 1), (6, 1), (8, 1), (8, 2), (9, 1), (12, 1),
+                      (15, 1), (27, 1), (28, 1), (28, 2), (28, 3), (28, 4),
+                      (28, 5), (29, 1), (29, 2), (38, 1), (38, 2), (39, 1)}
+
+
 def test_random_chain_map_is_deterministic():
     _, cx = _random_pair(6)
     assert random_chain_map(cx, seed=5) == random_chain_map(cx, seed=5)
@@ -247,6 +270,40 @@ def test_random_chain_maps_with_cancelled_pairs_are_pinned():
     digest = hashlib.sha256("".join(texts).encode())
     assert digest.hexdigest() == (
         "6f27b9f79f1ab686fe3311240e96dc458330588517a3c29ec97ffcf786406a1f")
+
+
+def test_random_chain_maps_on_1_steps_are_pinned():
+    """The maps drawn on 40 scrambled complexes with at least two 1-steps
+    in one grading, so S takes its 1-step-to-1-step branch, which the
+    campaign's 2-step-only trials never draw."""
+    texts = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        nf = random_normal_form(rng, max_rank=8, max_exponent=4)
+        nf = NormalForm(nf.one_steps + (rng.randint(-2, 2),) * 2, nf.two_steps)
+        cx = random_basis_change(realize(nf), seed=seed + 1,
+                                 steps=rng.randint(0, 15))
+        assert len(reduce_complex(cx).one_steps) >= 2
+        texts.append(map_to_text(random_chain_map(cx, seed=seed + 2000)))
+    digest = hashlib.sha256("".join(texts).encode())
+    assert digest.hexdigest() == (
+        "8c2e631b687cd362316d633e9ad6ed9f27076b23673eef6135ec603030d972f9")
+
+
+def test_basis_change_isomorphisms_are_pinned():
+    """The scrambled complex and the Q and Q^-1 maps of ``with_iso`` on 30
+    realized normal forms, 1 to 20 steps each."""
+    texts = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        nf = random_normal_form(rng, max_rank=8, max_exponent=5)
+        out, iso, iso_inv = random_basis_change(
+            realize(nf), seed=seed + 300, steps=rng.randint(1, 20),
+            with_iso=True)
+        texts += [complex_to_text(out), map_to_text(iso), map_to_text(iso_inv)]
+    digest = hashlib.sha256("".join(texts).encode())
+    assert digest.hexdigest() == (
+        "8fc7e7cae358fad8f9dfbcdb4b8bda2d32f11be1b290a1a5749f52ea1af9e55a")
 
 
 # ---------------------------------------------------------------------------
