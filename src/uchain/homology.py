@@ -317,7 +317,10 @@ class _Window:
     ascend, so the cycles have distinct top bits; ``homology`` keeps those
     whose top bit is not a boundary pivot as representatives (see
     ``gf2.Quotient``), which are the ones a greedy quotient would keep, in
-    the same order.
+    the same order.  Each boundary pivot is the top bit of exactly one
+    cycle, so ``dim(g, w)``, the number of cycles below the top bit less
+    the number of boundary rows, is the homology's dimension with no
+    ``Quotient`` built.
     """
 
     def __init__(self, cx: GradedComplex, width: int):
@@ -334,18 +337,16 @@ class _Window:
         the image of g_j as one mask and the bit ``top`` of g_j inside it:
         the term U^k g_t sits t - j - k * rank bits above ``top``, and
         ``top`` puts the lowest term at bit 0."""
-        out = []
-        for j in range(self.rank):
-            sh = [t - j - k * self.rank
+        out, rank = [], self.rank
+        for j in range(rank):
+            sh = [t - j - k * rank
                   for t, p in cols.get(j, ()) for k in set_bits(p.bits)]
-            top = max((-s for s in sh), default=0)
-            out.append((sum(1 << (s + top) for s in sh), top))
+            top = -min(sh) if sh else 0
+            mask = 0
+            for s in sh:
+                mask |= 1 << (s + top)
+            out.append((mask, top))
         return out
-
-    def boundary_mask(self, i: int) -> int:
-        """Boundary of basis element i, cut to the window; kept so that the
-        tests' reference homology runs on a standalone window too."""
-        return self.map_mask(self._d, 1 << i)
 
     def map_mask(self, templates: list[tuple[int, int]], mask: int) -> int:
         """A map given by ``templates`` applied to a mask, cut to the
@@ -374,23 +375,34 @@ class _Window:
             self._eliminated[grading] = eliminate(vectors, cols)
         return self._eliminated[grading]
 
-    def homology(self, grading: int, width: int | None = None) -> Quotient:
-        """Homology at ``grading`` of the window of width ``width`` with
-        the same top, all of this one by default: the cycles below bit
-        width * rank, and the rows inserted by the first
-        width * (generators in grading + 1) columns of the grading above,
-        which are those columns less the cycles among them."""
-        width = self.width if width is None else width
+    def _prefix(self, grading: int, width: int) -> tuple[int, int]:
+        """(cycles, boundary rows) of the window of width ``width`` with
+        the same top: the cycles below bit width * rank, and the rows
+        inserted by the first width * (generators in grading + 1) columns
+        of the grading above, which are those columns less the cycles
+        among them."""
         if width > self.width:
             raise CrossCheckMismatch(
                 f"width {width} reads past the window's width {self.width}")
         top = 1 << width * self.rank
-        cycles = self._eliminate(grading)[0]
-        above, rows = self._eliminate(grading + 1)
-        kept = (width * len(self._by_grading.get(grading + 1, ()))
+        above = self._eliminate(grading + 1)[0]
+        return (bisect_left(self._eliminate(grading)[0], top),
+                width * len(self._by_grading.get(grading + 1, ()))
                 - bisect_left(above, top))
-        boundary_rows = dict(islice(rows.items(), kept))
-        reps = [z for z in cycles[:bisect_left(cycles, top)]
+
+    def dim(self, grading: int, width: int) -> int:
+        """Dimension of ``homology(grading, width)``, read off the counts."""
+        cycles, kept = self._prefix(grading, width)
+        return cycles - kept
+
+    def homology(self, grading: int, width: int | None = None) -> Quotient:
+        """Homology at ``grading`` of the window of width ``width`` with
+        the same top, all of this one by default (see ``_prefix``)."""
+        cycles, kept = self._prefix(
+            grading, self.width if width is None else width)
+        boundary_rows = dict(islice(self._eliminate(grading + 1)[1].items(),
+                                    kept))
+        reps = [z for z in self._eliminate(grading)[0][:cycles]
                 if z.bit_length() - 1 not in boundary_rows]
         return Quotient(reps, boundary_rows)
 

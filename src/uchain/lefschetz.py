@@ -180,7 +180,7 @@ def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
     window = _Window(cx, 2 * small + n_max)
     # certificate of n_max and of no 1-steps: the window of width w is
     # C/U^w, of homology dimension 2 min(n, w) per 2-step and w per 1-step
-    dims = [sum(window.homology(g, w).dim for g in window.gradings)
+    dims = [sum(window.dim(g, w) for g in window.gradings)
             for w in (n_max, small)]
     if dims[0] != dims[1]:
         raise CrossCheckMismatch(f"window homology grew past width {n_max}: "

@@ -23,8 +23,10 @@ The reduction also logs the change of basis: op (i, j, c) means
 g_i <- g_i + c g_j, i.e. Q <- Q E and Q^-1 <- E Q^-1 with the involution
 E = I + c e_{ji}, Q holding the new basis in old coordinates.  One replay
 gives Q columns and Q^-1 rows as sparse {index: coefficient} dicts with
-zeros absent: exactly, as power series modulo U^cap (cap = max exponent
-+ 1, all the homology layer reads), or for ``random_basis_change``'s log.
+zeros absent: exactly, or as power series modulo U^cap (cap = max
+exponent + 1, all the homology layer reads).  A matrix that only needs
+conjugating by Q is never multiplied by the replayed Q: ``_conjugate``
+runs the log on the matrix itself, E M E per op.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ class Reduction:
     def exact_transform(self) -> tuple[list[dict[int, LocalScalar]],
                                        list[dict[int, LocalScalar]]]:
         """(Q columns, Q^-1 rows) replayed from ``ops`` with exact
-        LocalScalar entries, in the sparse layout of ``series_transform``."""
+        LocalScalar entries, in the sparse layout of ``series_transform``.
+        Only the homology bases and the tests read it: the seeded
+        generators conjugate through ``ops`` instead."""
         if self._exact is None:
             self._exact = _replay(self.complex.rank, self.ops, LS1, _addmul)
         return self._exact
@@ -153,6 +157,20 @@ def _replay(n: int, ops, one, addmul) -> tuple[list[dict], list[dict]]:
             addmul(q[i], q[j], c)
             addmul(qi[j], qi[i], c)
     return q, qi
+
+
+def _conjugate(entries: dict, ops) -> dict:
+    """E M E for each op's E = I + c e_{ji} in turn, applied in place to a
+    sparse (target, source) matrix M and returned: column i gains
+    c * column j, then row j gains c * row i.  E is its own inverse in
+    characteristic 2, so a log's ops in order give Q^-1 M Q, and in
+    reverse Q M Q^-1."""
+    for i, j, c in ops:
+        _accumulate([((t, i), c * v) for (t, s), v in entries.items()
+                     if s == j], entries)
+        _accumulate([((j, s), c * v) for (t, s), v in entries.items()
+                     if t == i], entries)
+    return entries
 
 
 def _addmul(dst: dict, src: dict, c) -> None:
@@ -304,11 +322,11 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
     """Apply ``steps`` random elementary basis changes g_i <- g_i + p(U) g_j
     between same-grading generators; deterministic in (seed, steps).
 
-    The steps form an op log with the meaning of ``Reduction.ops``; its
-    replay gives Q columns and Q^-1 rows, and the new differential is
-    Q^-1 d Q.  With ``with_iso`` also returns the isomorphism Q (new ->
-    old) and its inverse, both degree-0 chain maps with polynomial
-    entries.
+    The steps form an op log with the meaning of ``Reduction.ops``, and
+    the new differential Q^-1 d Q is d conjugated through it, E d E per
+    step with the involution E = I + p e_{ji} (``_conjugate``).  Only
+    ``with_iso`` replays the log into Q (new -> old) and its inverse,
+    returned too as degree-0 chain maps with polynomial entries.
     """
     rng = random.Random(seed)
     gens = cx.generators
@@ -319,15 +337,14 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
         for _ in range(steps):
             i, j = rng.sample(rng.choice(groups), 2)
             ops.append((i, j, Poly(rng.getrandbits(3) or 1)))
-    q, qi = _replay(len(gens), ops, P1, _addmul)
-    q_at = {(i, j): c for j, col in enumerate(q) for i, c in col.items()}
-    qi_at = {(i, j): c for i, row in enumerate(qi) for j, c in row.items()}
-    d = _mat_mul(_mat_mul(qi_at, cx._at), q_at)
-
+    d = _conjugate(dict(cx._at), ops)
     out = _complex(cx.name, [(g, cx.gradings[g]) for g in gens],
                    _named(d.items(), gens))
     if not with_iso:
         return out
+    q, qi = _replay(len(gens), ops, P1, _addmul)
+    q_at = {(i, j): c for j, col in enumerate(q) for i, c in col.items()}
+    qi_at = {(i, j): c for i, row in enumerate(qi) for j, c in row.items()}
     return (out, _chain_map("basis", out, cx, 0, _named(q_at.items(), gens)),
             _chain_map("basis_inv", cx, out, 0, _named(qi_at.items(), gens)))
 
@@ -337,9 +354,11 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
 
     Built as S + dH + Hd: S maps normal-form summands to grading-compatible
     summands (2-step to 2-step via the U^|n-m| matching pair, 1-step to
-    1-step by an arbitrary scalar), conjugated back to the input basis and
-    scaled by a denominator-clearing unit so entries stay polynomial; H is
-    a random degree +1 linear map.  The exact identity is emitted on a
+    1-step by an arbitrary scalar), conjugated back to the input basis as
+    Q S Q^-1 by running the reduction's op log in reverse on S itself
+    (``_conjugate``; each op's E is an involution), and scaled by a
+    denominator-clearing unit so entries stay polynomial; H is a random
+    degree +1 linear map.  The exact identity is emitted on a
     reserved branch so it is always producible.
     """
     rng = random.Random(seed)
@@ -373,11 +392,7 @@ def random_chain_map(cx: GradedComplex, seed: int) -> ChainMap:
             if p:
                 s_nf.append(((ti, si), LocalScalar(p)))
 
-    q, qi = red.exact_transform()  # Q S Q^-1: Q's columns, then Q^-1's rows
-    qs = _accumulate(((t, s), c * x) for (m, s), x in _accumulate(s_nf).items()
-                     for t, c in q[m].items())
-    s_at = _accumulate(((t, s), y * c) for (t, m), y in qs.items()
-                       for s, c in qi[m].items())
+    s_at = _conjugate(_accumulate(s_nf), reversed(red.ops))
     scaled = [(k, Poly(bits)) for k, bits
               in _clear_denominators(s_at).items()]
 

@@ -167,7 +167,7 @@ class Poly:
     # -- ring structure --
 
     def __add__(self, other: "Poly") -> "Poly":
-        return Poly(self.bits ^ other.bits)
+        return _poly(self.bits ^ other.bits)
 
     __sub__ = __add__  # characteristic 2
 
@@ -175,7 +175,7 @@ class Poly:
         da, db = self.bits.bit_length() - 1, other.bits.bit_length() - 1
         if da >= 0 and db >= 0:
             _check_degree(da + db)
-        return Poly(_pmul(self.bits, other.bits))
+        return _poly(_pmul(self.bits, other.bits))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         q, r = _pdivmod(self.bits, other.bits)
@@ -227,6 +227,15 @@ class Poly:
         return f"Poly({self})"
 
 
+def _poly(bits: int) -> Poly:
+    """A Poly of ``bits`` that are already known valid, such as a sum of
+    two polynomials or a product whose degree was checked: no check
+    again."""
+    p = object.__new__(Poly)
+    p.bits = bits
+    return p
+
+
 P0 = Poly(0)
 P1 = Poly(1)
 
@@ -248,7 +257,7 @@ class LocalScalar:
             raise ZeroDivisionError("zero denominator")
         if n == 0:
             n, d = 0, 1
-        else:
+        elif d != 1:
             g = _pgcd(n, d)
             if g != 1:
                 n = _pdivmod(n, g)[0]
@@ -263,6 +272,8 @@ class LocalScalar:
     # -- field-like structure (restricted to the localization) --
 
     def __add__(self, other: "LocalScalar") -> "LocalScalar":
+        if self.den == 1 and other.den == 1:
+            return _integral(self.num ^ other.num)
         return LocalScalar(
             _pmul(self.num, other.den) ^ _pmul(other.num, self.den),
             _pmul(self.den, other.den))
@@ -270,6 +281,8 @@ class LocalScalar:
     __sub__ = __add__
 
     def __mul__(self, other: "LocalScalar") -> "LocalScalar":
+        if self.den == 1 and other.den == 1:
+            return _integral(_pmul(self.num, other.num))
         return LocalScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def __truediv__(self, other: "LocalScalar") -> "LocalScalar":
@@ -318,6 +331,15 @@ class LocalScalar:
 
     def __repr__(self) -> str:
         return f"LocalScalar({self})"
+
+
+def _integral(num: int) -> LocalScalar:
+    """num/1, canonical as it stands (zero included): the sum or product of
+    two elements of denominator 1 needs no gcd and no unit check."""
+    x = object.__new__(LocalScalar)
+    x.num = num
+    x.den = 1
+    return x
 
 
 LS0 = LocalScalar(0)

@@ -152,7 +152,7 @@ def greedy_window_homology(window, grading: int) -> QuotientBasis:
     greedy quotient by the boundary masks of the grading above, echelonned
     afresh."""
     def masks(k: int) -> list[int]:
-        return [window.boundary_mask(i) for i in window.columns(k)]
+        return [window.map_mask(window._d, 1 << i) for i in window.columns(k)]
 
     cols = window.columns(grading)
     cycles = [scatter(c, cols) for c in kernel_combos(masks(grading))]

@@ -22,6 +22,7 @@ from uchain.complexes import (
     tensor_map,
     zero_map,
 )
+from uchain.complexes import _apply
 from uchain.errors import (
     ComplexMismatch,
     CrossCheckMismatch,
@@ -51,7 +52,9 @@ from uchain.homology import (
     les_exactness_check,
     mapping_torus_betti,
 )
-from uchain.lefschetz import cotrace_map, phi_dual
+from uchain import lefschetz
+from uchain.lefschetz import (cotrace_map, delta_quantity, phi_dual,
+                              verify_proposition)
 from uchain.normal_form import (
     NormalForm,
     Reduction,
@@ -583,14 +586,16 @@ def test_exactness_on_random_complexes():
 
 class _StandaloneWindow:
     """The window [top - width, top) built from chains alone: its columns
-    and boundary masks come from ``boundary_chain`` through the test-local
-    conversions, not from ``homology._Window``."""
+    and its maps, d (``_d``, the complex's column view) among them, act
+    through chains and the test-local conversions, not through
+    ``homology._Window``."""
 
     def __init__(self, cx: GradedComplex, width: int, top: int):
         self.cx, self.width, self.top = cx, width, top
         self.rank = cx.rank
         self._gens = cx.generators
         self._index = cx.index()
+        self._d = cx._cols
 
     def mask(self, chain: LaurentChain) -> int:
         return mask_of(self, self.top, chain)
@@ -602,8 +607,8 @@ class _StandaloneWindow:
         return [i for i in range(self.width * self.rank)
                 if self.cx.gradings[self._gens[i % self.rank]] == grading]
 
-    def boundary_mask(self, i: int) -> int:
-        return self.mask(self.cx.boundary_chain(self.chain(1 << i)))
+    def map_mask(self, cols: dict, mask: int) -> int:
+        return self.mask(_apply(cols, self.cx, self.cx, self.chain(mask)))
 
 
 def _reference_joint(in_cols: list[int], out_cols: list[int],
@@ -703,7 +708,7 @@ def test_window_layout_and_boundaries_match_the_term_by_term_reference():
                             for k in p.exponents():
                                 if e + k < top:
                                     ref ^= 1 << basis.index((t, e + k))
-                    assert w.boundary_mask(i) == ref
+                    assert w.map_mask(w._d, 1 << i) == ref
                 for gr in set(cx.gradings.values()):
                     assert w.columns(gr) == [i for i, (g, _) in enumerate(basis)
                                              if cx.gradings[g] == gr]
@@ -754,13 +759,13 @@ def _assert_quotient_matches_greedy(h, w: _Window, g: int,
     assert h.reps == ref.reps
     assert h.dim == ref.dim
     cycles = w._eliminate(g)[0]
-    boundaries = [w.boundary_mask(i) for i in w.columns(g + 1)]
+    boundaries = [w.map_mask(w._d, 1 << i) for i in w.columns(g + 1)]
     for _ in range(8):
         v = _xor_of(boundaries + cycles, rng)
         assert h.coords(v) is not None
         assert h.coords(v) == ref.coords(v)
     for i in w.columns(g):
-        if w.boundary_mask(i):  # not a cycle, nor with a cycle added
+        if w.map_mask(w._d, 1 << i):  # not a cycle, nor with a cycle added
             v = (1 << i) ^ _xor_of(cycles, rng)
             assert h.coords(v) is None and ref.coords(v) is None
 
@@ -821,6 +826,35 @@ def test_every_prefix_of_a_deep_window_matches_under_hypothesis(
     rng = random.Random(seed)
     for cx in _window_inputs(seed, one_steps):
         _assert_prefixes_match_standalone_windows(cx, rng)
+
+
+def _assert_dim_counts_the_classes(cx: GradedComplex) -> None:
+    gradings = set(cx.gradings.values())
+    window = _Window(cx, 3 * classify(cx).max_exponent + 2)
+    for g in range(min(gradings) - 1, max(gradings) + 2):
+        for width in range(window.width + 1):
+            assert window.dim(g, width) == window.homology(g, width).dim
+    with pytest.raises(CrossCheckMismatch, match="reads past"):
+        window.dim(min(gradings), window.width + 1)
+
+
+def test_window_dim_counts_the_homology_classes(monkeypatch):
+    """``dim`` against the quotient ``homology`` builds, at every grading
+    and width of the window: on campaign trials, on complexes with a
+    cancelled pair and on complexes with 1-steps."""
+    trials = []
+
+    def collecting(cx, f, **kwargs):
+        trials.append(cx)
+        return delta_quantity(cx, f, **kwargs)
+
+    monkeypatch.setattr(lefschetz, "delta_quantity", collecting)
+    verify_proposition(20260814, 30, 8, 6)
+    assert len(trials) == 30
+    inputs = trials + [_with_a_cancelled_pair(seed) for seed in range(10)]
+    inputs += [cx for seed in range(10) for cx in _window_inputs(seed, True)]
+    for cx in inputs:
+        _assert_dim_counts_the_classes(cx)
 
 
 def _assert_masks_match_the_chain_round_trip(cx: GradedComplex,
@@ -944,8 +978,6 @@ def test_window_maps_match_the_stripe_and_shift_reference(
             for m in masks:
                 assert (w.map_mask(_window_map(shifts), m)
                         == _stripe_map_mask(w, shifts, m))
-        for i in range(bits):
-            assert w.boundary_mask(i) == w.map_mask(w._d, 1 << i)
 
 
 def test_windowed_connecting_map_must_land_in_the_subcomplex():

@@ -491,20 +491,25 @@ def test_stable_prefix_matches_the_span_reading_under_hypothesis(
 
 def test_small_windows_build_no_class_coordinates(monkeypatch):
     """The oracle reads only the dimensions of the certificate's windows,
-    of widths n_max and small, so their quotients never build the span
-    that ``coords`` needs.  A deep window of width depth + n_max is
-    queried only on its classes below bit depth * rank, its pass's stable
-    prefix, with depth small for the first pass and 2 * small for the
-    second, so it builds the span exactly when it holds such a class."""
-    built = []
-    homology = _Window.homology
+    of widths n_max and small, through ``dim``, so it builds no quotient
+    for them.  A deep window of width depth + n_max is queried only on its
+    classes below bit depth * rank, its pass's stable prefix, with depth
+    small for the first pass and 2 * small for the second, so it builds
+    the span exactly when it holds such a class."""
+    built, counted = [], []
+    homology, dim = _Window.homology, _Window.dim
 
     def recording(self, grading, width=None):
         quotient = homology(self, grading, width)
         built.append((width, quotient))
         return quotient
 
+    def counting(self, grading, width):
+        counted.append(width)
+        return dim(self, grading, width)
+
     monkeypatch.setattr(_Window, "homology", recording)
+    monkeypatch.setattr(_Window, "dim", counting)
     seen = set()
     for seed in range(5):
         cx = _paired_torsion_complex(seed)
@@ -512,14 +517,16 @@ def test_small_windows_build_no_class_coordinates(monkeypatch):
         small = n_max + 1
         depth = {small + n_max: small, 2 * small + n_max: 2 * small}
         built.clear()
+        counted.clear()
         lefschetz_by_grading(cx, random_chain_map(cx, seed=seed + 11))
-        assert {w for w, _ in built} == {n_max, small} | set(depth)
+        assert set(counted) == {n_max, small}
+        assert {w for w, _ in built} == set(depth)
         for w, q in built:
-            stable = bool(q.reps) and q.reps[0] < 1 << depth.get(w, 0) * cx.rank
+            stable = bool(q.reps) and q.reps[0] < 1 << depth[w] * cx.rank
             assert ("_span" in q.__dict__) == stable
-            seen.add((w in depth, bool(q.reps), stable))
+            seen.add((bool(q.reps), stable))
     # deep windows with and without stable classes both occur
-    assert {(True, True, True), (True, True, False)} <= seen
+    assert {(True, True), (True, False)} <= seen
 
 
 def _assert_certificate_refuses(cx: GradedComplex, f: ChainMap,

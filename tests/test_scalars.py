@@ -192,6 +192,41 @@ def test_reduced_form_is_canonical(n: Poly, d: Poly, c: Poly):
     assert LocalScalar(n * c, d * c) == LocalScalar(n, d)
 
 
+def _canonical(num: int, den: int) -> tuple[int, int]:
+    """num/den as the reduced pair, zero as 0/1, by a Euclid of its own."""
+    if num == 0:
+        return 0, 1
+    a, b = Poly(num), Poly(den)
+    while b:
+        a, b = b, a % b
+    return (Poly(num) // a).bits, (Poly(den) // a).bits
+
+
+@given(a=polys, b=polys)
+def test_denominator_one_arithmetic_is_canonical(a: Poly, b: Poly):
+    # LocalScalar(n), and the sum and product of two such, skip the gcd;
+    # they must land on the pair a reduction by gcd gives, zero included
+    x, y = LocalScalar(a), LocalScalar(b)
+    for got, num in ((x, a.bits), (y, b.bits), (x + y, (a + b).bits),
+                     (x * y, (a * b).bits), (x + x, 0), (x * LocalScalar(0), 0)):
+        assert (got.num, got.den) == _canonical(num, 1)
+    # and agree with the general path, through a unit denominator
+    u = LocalScalar(1, Poly.of(0, 1))
+    assert (x * u + y * u) / u == x + y
+    assert (x * u) * (y * u) / (u * u) == x * y
+
+
+def test_sums_and_products_keep_the_exponent_limit():
+    top = Poly.u(EXPONENT_LIMIT)
+    assert (top + Poly(1)).degree() == EXPONENT_LIMIT
+    assert (top * Poly(1)).degree() == EXPONENT_LIMIT
+    assert not top + top and not top * Poly(0)
+    with pytest.raises(ExponentOverflow):
+        top * Poly.u(1)
+    with pytest.raises(ExponentOverflow):
+        Poly.of(0, EXPONENT_LIMIT // 2 + 1) * Poly.u(EXPONENT_LIMIT // 2)
+
+
 @given(a=polys, b=polys, d=unit_polys, e=unit_polys)
 def test_local_arithmetic_is_a_commutative_ring(a: Poly, b: Poly,
                                                 d: Poly, e: Poly):
