@@ -152,6 +152,8 @@ def _cmd_pairing_check(args) -> tuple[dict, int]:
             "free summands survive inverting U; the pairing check needs a "
             "finite plus flavor")
     plus = _h_plus(red)
+    # dual(C) gets a reduction of its own, not C's transposed, so the two
+    # bases of the pairing matrix come from independent reductions
     red_minus = h_red(dual(cx), "minus")
     # f2_pairing by index: bit j of holds[term] says dual class j has term
     holds: dict[tuple[str, int], int] = {}

@@ -327,6 +327,12 @@ def random_basis_change(cx: GradedComplex, seed: int, steps: int,
     step with the involution E = I + p e_{ji} (``_conjugate``).  Only
     ``with_iso`` replays the log into Q (new -> old) and its inverse,
     returned too as degree-0 chain maps with polynomial entries.
+
+    Each step's products on d are checked against the 2^20 exponent
+    limit as they are formed, as every construction checks its products.
+    So a step can raise ``ExponentOverflow`` on a complex whose scrambled
+    result would be within the limit, as when later steps cancel an
+    earlier step's high-degree entries.
     """
     rng = random.Random(seed)
     gens = cx.generators
