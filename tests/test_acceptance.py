@@ -18,7 +18,6 @@ from uchain.complexes import (
     compose,
     dual,
     identity_map,
-    map_add,
     scalar_map,
     tensor,
 )
@@ -49,60 +48,10 @@ from uchain.normal_form import (
 )
 from uchain.scalars import Poly
 
-from f2_reference import QuotientBasis, kernel_combos
+from conftest import mixed_complex, torsion_complex, two_step
+from f2_reference import QuotientSlice, kunneth_torus_betti
 
 CAMPAIGN_SEED = 20260814
-
-
-def _two_step(n: int) -> GradedComplex:
-    return build_complex("two", [("a", 1), ("b", 0)], [("a", "b", Poly.u(n))])
-
-
-def _torsion_complex(seed: int, max_rank: int = 6,
-                     max_exponent: int = 5) -> GradedComplex:
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=max_rank, max_exponent=max_exponent,
-                            one_steps=False)
-    return random_basis_change(realize(nf), seed=seed + 1,
-                               steps=rng.randint(0, 15))
-
-
-def _mixed_complex(seed: int) -> GradedComplex:
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=7, max_exponent=4)
-    return random_basis_change(realize(nf), seed=seed + 1,
-                               steps=rng.randint(0, 15))
-
-
-class _QuotientSlice:
-    """Windowed quotient-complex homology at one grading; a test-local
-    oracle, independent of the library's internal windows."""
-
-    def __init__(self, cx: GradedComplex, width: int, grading: int):
-        def slice_at(k: int) -> list[tuple[str, int]]:
-            return [(g, e) for e in range(-width, 0)
-                    for g in cx.generators if cx.gradings[g] == k]
-
-        self.basis = slice_at(grading)
-        self.pos = {v: i for i, v in enumerate(self.basis)}
-        below = {v: i for i, v in enumerate(slice_at(grading - 1))}
-        boundaries = []
-        for v in slice_at(grading + 1):
-            img = cx.boundary_chain(LaurentChain.of(v)).negative_part()
-            boundaries.append(sum(1 << self.pos[t] for t in img.terms))
-        cols = []
-        for v in self.basis:
-            img = cx.boundary_chain(LaurentChain.of(v)).negative_part()
-            cols.append(sum(1 << below[t] for t in img.terms))
-        self.homology = QuotientBasis(kernel_combos(cols), boundaries)
-
-    def class_of(self, chain: LaurentChain) -> int | None:
-        m = 0
-        for t in chain.terms:
-            if t not in self.pos:
-                return None
-            m |= 1 << self.pos[t]
-        return self.homology.coords(m)
 
 
 def _slice_width(cx: GradedComplex) -> int:
@@ -112,7 +61,7 @@ def _slice_width(cx: GradedComplex) -> int:
 def test_criterion_01_identity_on_a_two_step_counts_the_exponent_parity():
     start = time.monotonic()
     for n in range(1, 65):
-        cx = _two_step(n)
+        cx = two_step(n)
         assert delta_quantity(cx, identity_map(cx)) == n % 2
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -126,7 +75,7 @@ def test_criterion_02_scalar_multiplication_counts_constant_term_times_exponent(
         n = rng.randint(1, 16)
         k = rng.randint(0, 1)
         p = Poly(k | rng.getrandbits(6) << 1)  # k + U*p0 with deg p0 <= 5
-        cx = _two_step(n)
+        cx = two_step(n)
         assert delta_quantity(cx, scalar_map(cx, p)) == (k * n) % 2
     print("PASS: criterion 2 — delta_quantity(a->U^n b, p(U)) = p(0)*n mod 2 "
           "for n<=16 over 100 random polynomials, exact")
@@ -169,7 +118,7 @@ def test_criterion_05_connecting_map_matches_the_closed_forms():
                 assert got == LaurentChain.of((f"b{k}", n - i))
     # on the pairing complex of a two-step, for every depth
     for n in range(1, 7):
-        two = _two_step(n)
+        two = two_step(n)
         pair = tensor(two, dual(two))
         for i in range(-n, 0):
             got = delta(pair, LaurentChain.of(("a.b*", i)))
@@ -178,21 +127,21 @@ def test_criterion_05_connecting_map_matches_the_closed_forms():
             assert got == LaurentChain.of(("b.a*", i + n))
     # delta_inverse . delta fixes every quotient-homology basis class
     for seed in range(200):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         width = _slice_width(cx)
         for x in h_plus(cx).basis:
             back = delta_inverse(cx, delta(cx, x))
             diff = back + x
             if diff:
                 g = cx.gradings[x.sorted_terms()[0][0]]
-                assert _QuotientSlice(cx, width, g).class_of(diff) == 0
+                assert QuotientSlice(cx, width, g).class_of(diff) == 0
     print("PASS: criterion 5 — zig-zag delta matches the closed forms and "
           "delta_inverse . delta = id on quotient bases, 200 complexes")
 
 
 def test_criterion_06_long_exact_sequence_is_exact_and_window_stable():
     for seed in range(200):
-        report = les_exactness_check(_mixed_complex(seed))
+        report = les_exactness_check(mixed_complex(seed))
         assert report["exact"] is True
         assert report["double_window"]["exact"] is True
     print("PASS: criterion 6 — les_exactness_check passes on 200 random "
@@ -200,9 +149,9 @@ def test_criterion_06_long_exact_sequence_is_exact_and_window_stable():
 
 
 def test_criterion_07_quotient_flavor_finite_iff_inverted_flavor_vanishes():
-    complexes = ([_torsion_complex(s) for s in range(100)]
-                 + [_mixed_complex(s) for s in range(100)]
-                 + [_two_step(n) for n in range(1, 9)]
+    complexes = ([torsion_complex(s) for s in range(100)]
+                 + [mixed_complex(s) for s in range(100)]
+                 + [two_step(n) for n in range(1, 9)]
                  + [build_complex("free", [("x", 0), ("y", 2)])])
     finite = infinite = 0
     for cx in complexes:
@@ -219,7 +168,7 @@ def test_criterion_07_quotient_flavor_finite_iff_inverted_flavor_vanishes():
 def test_criterion_08_derivative_map_anticommutes_and_is_basis_independent():
     # exact anticommutation with the differential, generator by generator
     for seed in range(200):
-        cx = _mixed_complex(seed)
+        cx = mixed_complex(seed)
         f = phi(cx)
         for g in cx.generators:
             x = LaurentChain.of((g, 0))
@@ -228,7 +177,7 @@ def test_criterion_08_derivative_map_anticommutes_and_is_basis_independent():
             assert not residue
     # equal induced maps on quotient homology across two random bases
     for seed in range(200):
-        cx = _torsion_complex(seed, max_rank=5, max_exponent=4)
+        cx = torsion_complex(seed, max_rank=5, max_exponent=4)
         moved, iso, iso_inv = random_basis_change(cx, seed=seed + 19,
                                                   steps=12, with_iso=True)
         f1 = phi(cx)
@@ -236,7 +185,7 @@ def test_criterion_08_derivative_map_anticommutes_and_is_basis_independent():
         width = _slice_width(cx)
         for x in h_plus(cx).basis:
             g = cx.gradings[x.sorted_terms()[0][0]]
-            slice_below = _QuotientSlice(cx, width, g - 1)
+            slice_below = QuotientSlice(cx, width, g - 1)
             c1 = slice_below.class_of(f1.apply_chain(x).negative_part())
             c2 = slice_below.class_of(f2.apply_chain(x).negative_part())
             assert c1 is not None and c1 == c2
@@ -246,7 +195,7 @@ def test_criterion_08_derivative_map_anticommutes_and_is_basis_independent():
 
 def test_criterion_09_duality_pairing_is_perfect_and_trace_counts_rank_parity():
     for seed in range(200):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         bp = h_plus(cx).basis
         bd = h_red(dual(cx), "minus").basis
         assert len(bp) == len(bd)
@@ -258,76 +207,13 @@ def test_criterion_09_duality_pairing_is_perfect_and_trace_counts_rank_parity():
             rows.append(row)
         assert rank(rows) == len(bp)
     for seed in range(100):
-        cx = _mixed_complex(seed) if seed % 2 else _torsion_complex(seed)
+        cx = mixed_complex(seed) if seed % 2 else torsion_complex(seed)
         e = compose(trace_map(cx), cotrace_map(cx))
         got = e.apply_chain(LaurentChain.of(("1", 0)))
         want = LaurentChain.of(("1", 0)) if cx.rank % 2 else LaurentChain.zero()
         assert got == want
     print("PASS: criterion 9 — pairing matrix invertible on 200 torsion "
           "complexes; trace . cotrace (1) = rank mod 2 always")
-
-
-def _f2_matrix(entries: dict, idx_t: dict[str, int]) -> dict[str, int]:
-    cols: dict[str, int] = {}
-    for (t, s), p in entries.items():
-        if p.bits & 1:
-            cols[s] = cols.get(s, 0) ^ (1 << idx_t[t])
-    return cols
-
-
-def _f2_homology(cx: GradedComplex) -> dict[int, QuotientBasis]:
-    idx = cx.index()
-    cols = _f2_matrix(cx.d, idx)
-    out: dict[int, QuotientBasis] = {}
-    for k in {cx.gradings[g] for g in cx.generators}:
-        gens_k = [g for g in cx.generators if cx.gradings[g] == k]
-        basis = [1 << idx[g] for g in gens_k]
-        images = [cols.get(g, 0) for g in gens_k]
-        cycles = [_xor_pick(basis, m) for m in kernel_combos(images)]
-        boundaries = [cols.get(g, 0) for g in cx.generators
-                      if cx.gradings[g] == k + 1]
-        out[k] = QuotientBasis(cycles, boundaries)
-    return out
-
-
-def _xor_pick(vecs: list[int], mask: int) -> int:
-    acc = 0
-    for i, v in enumerate(vecs):
-        if mask >> i & 1:
-            acc ^= v
-    return acc
-
-
-def _induced_rank(f, hs, ht, k) -> int:
-    if k not in hs or k not in ht:
-        return 0
-    cols = _f2_matrix(f.entries, f.target.index())
-    idx = f.source.index()
-    images = []
-    for rep in hs[k].reps:
-        img = 0
-        for g in f.source.generators:
-            if rep >> idx[g] & 1:
-                img ^= cols.get(g, 0)
-        c = ht[k].coords(img)
-        assert c is not None
-        images.append(c)
-    return rank(images)
-
-
-def _torus_betti_oracle(cy: GradedComplex, f) -> dict[int, int]:
-    """Rank identity for the cone of id + f over F2 at U = 0."""
-    g = map_add(identity_map(cy), f)
-    hs = _f2_homology(cy)
-
-    def dim(k: int) -> int:
-        return len(hs[k].reps) if k in hs else 0
-
-    def rk(k: int) -> int:
-        return _induced_rank(g, hs, hs, k)
-
-    ks = set(hs) | {k + 1 for k in hs}
-    return {k: (dim(k) - rk(k)) + (dim(k - 1) - rk(k - 1)) for k in ks}
 
 
 def test_criterion_10_mapping_torus_betti_match_the_kunneth_oracle():
@@ -351,7 +237,7 @@ def test_criterion_10_mapping_torus_betti_match_the_kunneth_oracle():
     for cy, f, expected in cases:
         betti = mapping_torus_betti(cy, f)
         assert betti == expected
-        assert betti == _torus_betti_oracle(cy, f)
+        assert betti == kunneth_torus_betti(cy, f)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     print(f"PASS: criterion 10 — mapping-torus Betti numbers match the "

@@ -34,7 +34,6 @@ from uchain.complexes import (
     relabel,
     tensor,
 )
-from uchain.gf2 import rank
 from uchain.homology import mapping_torus_betti
 from uchain.lefschetz import delta_quantity, verify_proposition
 from uchain.normal_form import (
@@ -46,7 +45,8 @@ from uchain.normal_form import (
 )
 from uchain.scalars import Poly
 
-from conftest import _positional
+from conftest import _positional, scrambled
+from f2_reference import kunneth_torus_betti, span_rank
 
 TWO_STEP_3 = """\
 complex two
@@ -591,10 +591,7 @@ def _plain_complex(seed: int | None) -> GradedComplex:
         return build_complex("collide", [("g0", 1), ("g1", 0), ("g2", 1),
                                          ("g3", 0)],
                              [("g0", "g3", Poly.u(2)), ("g2", "g1", Poly.u(1))])
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=6, max_exponent=4, one_steps=False)
-    return random_basis_change(realize(nf), seed=seed + 1,
-                               steps=rng.randint(0, 15))
+    return scrambled(seed, 6, 4, one_steps=False)[1]
 
 
 def _mod_u(cx: GradedComplex, f: ChainMap) -> tuple[GradedComplex, ChainMap]:
@@ -648,7 +645,7 @@ def test_numbers_do_not_depend_on_generator_names(literal_delta_quantity,
 def _reference_torus_betti(cy: GradedComplex, phi: ChainMap) -> dict[int, int]:
     """Mapping-torus Betti numbers through a literal cone: generators
     renamed to positions, cone(id + phi), its boundary read back as bit
-    columns."""
+    columns, their ranks read off the reference span."""
     pcy, pphi = _positional(cy, phi)
     torus = cone(map_add(identity_map(pcy), pphi))
     idx = torus.index()
@@ -658,8 +655,8 @@ def _reference_torus_betti(cy: GradedComplex, phi: ChainMap) -> dict[int, int]:
     by_grading: dict[int, list[str]] = {}
     for g in torus.generators:
         by_grading.setdefault(torus.gradings[g], []).append(g)
-    return {gr: len(gens) - rank(bcol.get(g, 0) for g in gens)
-            - rank(bcol.get(g, 0) for g in by_grading.get(gr + 1, ()))
+    return {gr: len(gens) - span_rank(bcol.get(g, 0) for g in gens)
+            - span_rank(bcol.get(g, 0) for g in by_grading.get(gr + 1, ()))
             for gr, gens in sorted(by_grading.items())}
 
 
@@ -683,16 +680,16 @@ def _at_u_one(cx: GradedComplex, f: ChainMap) -> tuple[GradedComplex, ChainMap]:
        names=st.lists(_DERIVED_LOOKING, min_size=8, max_size=8, unique=True))
 @example(seed=3, names=["x", "x[1]", "a.b", "c", "a", "b.c", "a*", "a[1][1]"])
 def test_mapping_torus_betti_matches_a_literal_cone(seed, names):
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=8, max_exponent=3, one_steps=True)
-    cx = random_basis_change(realize(nf), seed=seed + 1, steps=rng.randint(0, 15))
+    _, cx = scrambled(seed, 8, 3)
     f = random_chain_map(cx, seed + 2)
     ren = dict(zip(cx.generators, names))
     rcx = relabel(cx, ren)
     rf = build_chain_map(f.name, rcx, rcx, 0,
                          [(ren[s], ren[t], p) for (t, s), p in f.entries.items()])
     for cy, phi in (_mod_u(rcx, rf), _at_u_one(rcx, rf)):
-        assert mapping_torus_betti(cy, phi) == _reference_torus_betti(cy, phi)
+        betti = mapping_torus_betti(cy, phi)
+        assert betti == _reference_torus_betti(cy, phi)
+        assert betti == kunneth_torus_betti(cy, phi)
 
 
 def test_verb_bytes_and_reduction_logs_are_pinned(tmp_path, capsys):

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from uchain.complexes import (
-    ChainMap,
     GradedComplex,
     LaurentChain,
     build_chain_map,
@@ -39,7 +38,6 @@ from uchain.errors import (
     NotAChainMap,
     ParseError,
 )
-from uchain.gf2 import rank
 from uchain.normal_form import (
     NormalForm,
     classify,
@@ -48,21 +46,15 @@ from uchain.normal_form import (
     random_normal_form,
     realize,
 )
-from uchain.scalars import P0, P1, Poly
+from uchain.scalars import P1, Poly
 
-from f2_reference import QuotientBasis, kernel_combos
-
-
-def _two_step(n: int) -> GradedComplex:
-    return build_complex("two", [("a", 1), ("b", 0)], [("a", "b", Poly.u(n))])
+from conftest import scrambled, two_step
+from f2_reference import f2_homology, induced_rank
 
 
 def _random_complex(seed: int, max_rank: int = 5,
                     max_exponent: int = 4) -> GradedComplex:
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=max_rank, max_exponent=max_exponent)
-    return random_basis_change(realize(nf), seed=seed + 1,
-                               steps=rng.randint(0, 12))
+    return scrambled(seed, max_rank, max_exponent, max_steps=12)[1]
 
 
 def _same_up_to_generator_order(a: GradedComplex, b: GradedComplex) -> bool:
@@ -76,7 +68,7 @@ def _same_up_to_generator_order(a: GradedComplex, b: GradedComplex) -> bool:
 
 
 def test_two_step_complex_builds():
-    cx = _two_step(3)
+    cx = two_step(3)
     assert cx.rank == 2
     assert cx.grading("a") == 1
     assert cx.entry("b", "a") == Poly.u(3)
@@ -117,7 +109,7 @@ def test_entries_accumulate_mod_two():
 
 
 def test_chain_map_must_commute_with_differentials():
-    cx = _two_step(2)
+    cx = two_step(2)
     with pytest.raises(NotAChainMap):
         build_chain_map("bad", cx, cx, 0, [("a", "a", P1)])
     # adding the matching diagonal entry fixes it
@@ -126,7 +118,7 @@ def test_chain_map_must_commute_with_differentials():
 
 
 def test_chain_map_entries_must_match_declared_degree():
-    cx = _two_step(2)
+    cx = two_step(2)
     with pytest.raises(GradingViolation):
         build_chain_map("bad", cx, cx, 1, [("a", "a", P1)])
 
@@ -136,7 +128,7 @@ def test_chain_map_entries_must_match_declared_degree():
 
 
 def test_dual_transposes_and_negates_gradings():
-    dv = dual(_two_step(3))
+    dv = dual(two_step(3))
     assert dv.generators == ("a*", "b*")
     assert dv.gradings == {"a*": -1, "b*": 0}
     assert dv.entry("a*", "b*") == Poly.u(3)
@@ -161,7 +153,7 @@ def test_double_dual_is_the_identity_after_relabeling():
 
 
 def test_tensor_of_two_step_with_its_dual_is_the_diamond():
-    cx = _two_step(2)
+    cx = two_step(2)
     t = tensor(cx, dual(cx))
     assert t.gradings == {"a.b*": 1, "a.a*": 0, "b.b*": 0, "b.a*": -1}
     u2 = Poly.u(2)
@@ -198,7 +190,7 @@ def test_tensor_with_the_unit_complex_is_the_identity():
 
 
 def test_tensor_gradings_are_additive():
-    t = tensor(_two_step(1), dual(_two_step(1)))
+    t = tensor(two_step(1), dual(two_step(1)))
     assert t.grading("a.b*") == 1 + 0
 
 
@@ -231,7 +223,7 @@ def test_dual_of_tensor_matches_tensor_of_duals_reversed():
 
 
 def test_cone_of_zero_map_is_shift_plus_identity():
-    cx = _two_step(2)
+    cx = two_step(2)
     c = cone(zero_map(cx, cx))
     shifted = relabel(shift(cx, 1), {g: g + "'" for g in cx.generators})
     expected = direct_sum(shifted, cx)
@@ -247,61 +239,9 @@ def test_cone_of_identity_is_acyclic():
 
 
 def test_cone_requires_degree_zero():
-    cx = _two_step(1)
+    cx = two_step(1)
     with pytest.raises(DegreeMismatch):
         cone(build_chain_map("h", cx, cx, 1, []))
-
-
-def _f2_matrix(entries: dict, idx_t: dict[str, int]) -> dict[str, int]:
-    """Columns of a map with U set to 0, keyed by source generator."""
-    cols: dict[str, int] = {}
-    for (t, s), p in entries.items():
-        if p.bits & 1:
-            cols[s] = cols.get(s, 0) ^ (1 << idx_t[t])
-    return cols
-
-
-def _f2_homology(cx: GradedComplex) -> dict[int, QuotientBasis]:
-    """Per-grading homology of the U=0 reduction, vectors over all of cx."""
-    idx = cx.index()
-    cols = _f2_matrix(cx.d, idx)
-    out: dict[int, QuotientBasis] = {}
-    for k in {cx.gradings[g] for g in cx.generators}:
-        gens_k = [g for g in cx.generators if cx.gradings[g] == k]
-        basis = [1 << idx[g] for g in gens_k]
-        images = [cols.get(g, 0) for g in gens_k]
-        cycles = [_xor_pick(basis, m) for m in kernel_combos(images)]
-        boundaries = [cols.get(g, 0) for g in cx.generators
-                      if cx.gradings[g] == k + 1]
-        out[k] = QuotientBasis(cycles, boundaries)
-    return out
-
-
-def _xor_pick(vecs: list[int], mask: int) -> int:
-    acc = 0
-    for i, v in enumerate(vecs):
-        if mask >> i & 1:
-            acc ^= v
-    return acc
-
-
-def _induced_rank(f: ChainMap, hs: dict[int, QuotientBasis],
-                  ht: dict[int, QuotientBasis], k: int) -> int:
-    if k not in hs or k not in ht:
-        return 0
-    cols = _f2_matrix(f.entries, f.target.index())
-    idx = f.source.index()
-    gens = f.source.generators
-    images = []
-    for rep in hs[k].reps:
-        img = 0
-        for g in gens:
-            if rep >> idx[g] & 1:
-                img ^= cols.get(g, 0)
-        c = ht[k].coords(img)
-        assert c is not None  # a chain map sends cycles to cycles
-        images.append(c)
-    return rank(images)
 
 
 def test_cone_homology_matches_the_long_exact_sequence_over_f2():
@@ -309,10 +249,10 @@ def test_cone_homology_matches_the_long_exact_sequence_over_f2():
     for seed in range(25):
         cx = _random_complex(seed, 5)
         f = random_chain_map(cx, seed=seed + 1000)
-        h_src, h_cone = _f2_homology(cx), _f2_homology(cone(f))
+        h_src, h_cone = f2_homology(cx), f2_homology(cone(f))
         for k in set(h_cone) | set(h_src) | {g + 1 for g in h_src}:
-            r_k = _induced_rank(f, h_src, h_src, k)
-            r_prev = _induced_rank(f, h_src, h_src, k - 1)
+            r_k = induced_rank(f, h_src, h_src, k)
+            r_prev = induced_rank(f, h_src, h_src, k - 1)
             coker = h_src[k].dim - r_k if k in h_src else 0
             ker = h_src[k - 1].dim - r_prev if k - 1 in h_src else 0
             cone_dim = h_cone[k].dim if k in h_cone else 0
@@ -320,7 +260,7 @@ def test_cone_homology_matches_the_long_exact_sequence_over_f2():
 
 
 def test_direct_sum_is_blockwise():
-    a, b = _two_step(1), build_complex("pt", [("x", 5)])
+    a, b = two_step(1), build_complex("pt", [("x", 5)])
     s = direct_sum(a, b)
     assert s.rank == 3
     assert s.entry("b", "a") == Poly.u(1)
@@ -328,7 +268,7 @@ def test_direct_sum_is_blockwise():
 
 
 def test_shift_adds_to_every_grading():
-    cx = _two_step(2)
+    cx = two_step(2)
     assert shift(cx, 0) == cx
     sh = shift(cx, 3)
     assert sh.gradings == {"a": 4, "b": 3}
@@ -343,7 +283,7 @@ def test_compose_with_identity_is_identity():
 
 
 def test_compose_adds_degrees_and_checks_complexes():
-    cx = _two_step(1)
+    cx = two_step(1)
     other = build_complex("pt", [("x", 0)])
     with pytest.raises(ComplexMismatch):
         compose(identity_map(cx), zero_map(other, other))
@@ -357,7 +297,7 @@ def test_map_add_cancels_mod_two():
 
 
 def test_map_add_rejects_other_complexes_and_other_degrees():
-    cx = _two_step(1)
+    cx = two_step(1)
     other = build_complex("pt", [("x", 0)])
     with pytest.raises(ComplexMismatch,
                        match="map sum needs equal sources and targets"):
@@ -368,14 +308,14 @@ def test_map_add_rejects_other_complexes_and_other_degrees():
 
 
 def test_scalar_map_multiplies_every_generator():
-    cx = _two_step(2)
+    cx = two_step(2)
     m = scalar_map(cx, Poly.u(1))
     chain = LaurentChain.of(("a", 0))
     assert m.apply_chain(chain) == LaurentChain.of(("a", 1))
 
 
 def test_tensor_map_acts_factorwise():
-    cx = _two_step(2)
+    cx = two_step(2)
     f = scalar_map(cx, Poly.u(1))
     g = identity_map(dual(cx))
     t = tensor_map(f, g)
@@ -416,7 +356,7 @@ def test_derived_constructions_pass_the_checks_they_skip():
             _validate_chain_map(m)
 
     # derived constructions still reject colliding generator names
-    a = _two_step(2)
+    a = two_step(2)
     with pytest.raises(DuplicateGenerator):
         direct_sum(a, a)
     with pytest.raises(DuplicateGenerator):
@@ -456,7 +396,7 @@ def test_by_grading_view_partitions_positions_by_grading():
 
 
 def test_boundary_chain_tracks_laurent_exponents():
-    cx = _two_step(3)
+    cx = two_step(3)
     out = cx.boundary_chain(LaurentChain.of(("a", -2)))
     assert out == LaurentChain.of(("b", 1))
 
@@ -490,7 +430,7 @@ def test_map_text_round_trip():
 
 
 def test_complex_text_format_shape():
-    text = complex_to_text(_two_step(3))
+    text = complex_to_text(two_step(3))
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     assert lines[0].startswith("complex ")
     assert "gen a 1" in lines
@@ -521,14 +461,14 @@ def test_parse_complex_rejects_unknown_directives():
 
 
 def test_parse_map_checks_declared_complex_names():
-    cx = _two_step(2)
+    cx = two_step(2)
     text = map_to_text(identity_map(cx)).replace("source two", "source other")
     with pytest.raises(ComplexMismatch):
         parse_chain_map(text, cx, cx)
 
 
 def test_parse_map_requires_a_degree_line():
-    cx = _two_step(2)
+    cx = two_step(2)
     text = "\n".join(ln for ln in map_to_text(identity_map(cx)).splitlines()
                      if not ln.startswith("degree"))
     with pytest.raises(ParseError):

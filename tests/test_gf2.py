@@ -8,18 +8,11 @@ from hypothesis import strategies as st
 from uchain.gf2 import Quotient, eliminate, rank, set_bits
 
 # solve is Span.add over the vectors, then Span.express of the target
-from f2_reference import QuotientBasis, Span, kernel_combos, scatter, solve
+from f2_reference import (QuotientBasis, Span, kernel_combos, scatter, solve,
+                          xor_pick)
 
 vectors = st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
                    min_size=0, max_size=12)
-
-
-def _combo(vecs: list[int], mask: int) -> int:
-    acc = 0
-    for i, v in enumerate(vecs):
-        if mask >> i & 1:
-            acc ^= v
-    return acc
 
 
 def test_rank_of_standard_basis():
@@ -53,7 +46,7 @@ def test_solve_finds_a_preimage():
     vecs = [0b011, 0b110]
     mask = solve(vecs, 0b101)
     assert mask is not None
-    assert _combo(vecs, mask) == 0b101
+    assert xor_pick(vecs, mask) == 0b101
 
 
 def test_solve_detects_unsolvable_targets():
@@ -66,22 +59,22 @@ def test_kernel_of_dependent_family():
     vecs = [0b011, 0b101, 0b110]
     combos, rows = eliminate(vecs, list(range(len(vecs))))
     assert len(combos) == 1
-    assert _combo(vecs, combos[0]) == 0
+    assert xor_pick(vecs, combos[0]) == 0
     assert rows == {1: 0b011, 2: 0b101}
 
 
 @given(vecs=vectors, target_mask=st.integers(min_value=0, max_value=(1 << 12) - 1))
 def test_solve_inverts_any_reachable_target(vecs: list[int], target_mask: int):
-    target = _combo(vecs, target_mask)
+    target = xor_pick(vecs, target_mask)
     mask = solve(vecs, target)
     assert mask is not None
-    assert _combo(vecs, mask) == target
+    assert xor_pick(vecs, mask) == target
 
 
 @given(vecs=vectors)
 def test_kernel_combos_all_vanish_and_count_the_nullity(vecs: list[int]):
     combos, rows = eliminate(vecs, list(range(len(vecs))))
-    assert all(_combo(vecs, m) == 0 for m in combos)
+    assert all(xor_pick(vecs, m) == 0 for m in combos)
     assert all(m for m in combos)
     assert len(combos) == len(vecs) - rank(vecs)
     assert rank(combos) == len(combos)
@@ -97,7 +90,7 @@ def test_eliminate_gives_the_reference_kernel_in_order(vecs: list[int]):
     # combination k's top bit is its own vector's tag, so the tops ascend
     tops = [m.bit_length() - 1 for m in combos]
     assert tops == sorted(set(tops))
-    assert all(vecs[t] == _combo(vecs, m & ~(1 << t))
+    assert all(vecs[t] == xor_pick(vecs, m & ~(1 << t))
                for t, m in zip(tops, combos))
 
 
@@ -143,7 +136,7 @@ def test_rank_is_the_reference_span_dimension(pool: list[int],
     # each vector is a combination of the pool: mask 0 and dependent masks
     # give zero vectors, equal masks repeat a vector, and the pool's masks
     # run past 64 bits
-    vecs = [_combo(pool, m) for m in masks]
+    vecs = [xor_pick(pool, m) for m in masks]
     span = Span()
     for v in vecs:
         span.add(v)
@@ -175,7 +168,7 @@ def test_quotient_matches_the_greedy_reference(
     # Z: the kernel of vecs, as combinations (unit masks for a basis);
     # B: the part of it that the images of ``below`` inside Z reach
     combos, _ = eliminate(vecs, list(range(len(vecs))))
-    boundaries = [_combo(combos, m) for m in below]
+    boundaries = [xor_pick(combos, m) for m in below]
     rows = eliminate(boundaries, list(range(len(boundaries))))[1]
     # the pairing: the kernel vectors whose top bit no boundary row has
     new = Quotient([z for z in combos if z.bit_length() - 1 not in rows], rows)
@@ -183,7 +176,7 @@ def test_quotient_matches_the_greedy_reference(
     assert new.reps == ref.reps
     assert new.dim == ref.dim == len(combos) - rank(boundaries)
     pool = boundaries + combos
-    for v in queries + [_combo(pool, m) for m in masks]:
+    for v in queries + [xor_pick(pool, m) for m in masks]:
         assert new.coords(v) == ref.coords(v)
 
 
@@ -237,7 +230,7 @@ def test_quotient_coords_match_the_width_walking_reference(
     assert new.reps == ref.reps
     pool = boundaries + cycles
     # sums of the inputs are cycles; 1 << 10 lies outside every input
-    for v in queries + [_combo(pool, m) for m in masks] + [1 << 10]:
+    for v in queries + [xor_pick(pool, m) for m in masks] + [1 << 10]:
         assert new.coords(v) == ref.coords(v)
     assert new.coords(1 << 10) is None
 

@@ -61,84 +61,27 @@ from uchain.normal_form import (
     classify,
     random_basis_change,
     random_chain_map,
-    random_normal_form,
     realize,
     reduce_complex,
 )
 from uchain.scalars import LocalScalar, Poly, _pmul
 
-from f2_reference import (QuotientBasis, chain_of, greedy_window_homology,
-                          kernel_combos, mask_of, solve)
-
-
-def _two_step(n: int, top: str = "a", bottom: str = "b") -> GradedComplex:
-    return build_complex("two", [(top, 1), (bottom, 0)],
-                         [(top, bottom, Poly.u(n))])
-
-
-def _torsion_complex(seed: int, max_rank: int = 6,
-                     max_exponent: int = 5) -> GradedComplex:
-    """Random scrambled complex with no free summands."""
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=max_rank, max_exponent=max_exponent,
-                            one_steps=False)
-    return random_basis_change(realize(nf), seed=seed + 1,
-                               steps=rng.randint(0, 15))
-
-
-def _mixed_complex(seed: int) -> GradedComplex:
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=7, max_exponent=4)
-    return random_basis_change(realize(nf), seed=seed + 1,
-                               steps=rng.randint(0, 15))
+from conftest import mixed_complex, scrambled, torsion_complex, two_step
+from f2_reference import (QuotientSlice, chain_of, greedy_window_homology,
+                          mask_of, solve)
 
 
 # ---------------------------------------------------------------------------
 # an independent windowed model of the quotient complex
 #
-# The quotient keeps strictly negative U-exponents.  On the slice of a
-# window [-width, -1] at one grading, cycles and boundaries are ordinary
-# F2 linear algebra; the true homology is the image of the homology of a
-# smaller window inside a larger one (deep windowed classes are
-# artifacts: they die once the window is long enough to contain their
-# bounding chains).
-
-
-class _PlusSlice:
-    def __init__(self, cx: GradedComplex, width: int, grading: int):
-        self.cx = cx
-
-        def slice_at(k: int) -> list[tuple[str, int]]:
-            return [(g, e) for e in range(-width, 0)
-                    for g in cx.generators if cx.gradings[g] == k]
-
-        self.basis = slice_at(grading)
-        self.pos = {v: i for i, v in enumerate(self.basis)}
-        below_pos = {v: i for i, v in enumerate(slice_at(grading - 1))}
-        boundaries = [self._encode(
-            cx.boundary_chain(LaurentChain.of(v)).negative_part())
-            for v in slice_at(grading + 1)]
-        cols = []
-        for v in self.basis:
-            img = cx.boundary_chain(LaurentChain.of(v)).negative_part()
-            cols.append(sum(1 << below_pos[t] for t in img.terms))
-        cycles = kernel_combos(cols)  # basis vectors are unit masks
-        self.homology = QuotientBasis(cycles, boundaries)
-
-    def _encode(self, chain: LaurentChain) -> int:
-        m = 0
-        for term in chain.terms:
-            m |= 1 << self.pos[term]
-        return m
-
-    def class_of(self, chain: LaurentChain) -> int | None:
-        return self.homology.coords(self._encode(chain))
+# f2_reference.QuotientSlice: the true homology is the image of the
+# homology of a smaller window inside a larger one.
 
 
 def _stable_plus_dimension(cx: GradedComplex, grading: int,
                            small: int, big: int) -> int:
-    ws = _PlusSlice(cx, small, grading)
-    wb = _PlusSlice(cx, big, grading)
+    ws = QuotientSlice(cx, small, grading)
+    wb = QuotientSlice(cx, big, grading)
     image = []
     for rep in ws.homology.reps:
         chain = LaurentChain(v for i, v in enumerate(ws.basis) if rep >> i & 1)
@@ -153,7 +96,7 @@ def _stable_plus_dimension(cx: GradedComplex, grading: int,
 
 
 def test_minus_homology_of_a_two_step_is_torsion():
-    h = h_minus(_two_step(3))
+    h = h_minus(two_step(3))
     assert h.flavor == "minus"
     assert h.torsion == ((0, 3),)
     assert h.free_ranks == {}
@@ -177,7 +120,7 @@ def test_minus_homology_of_an_acyclic_pair_is_trivial():
 
 def test_minus_basis_representatives_are_nonbounding_cycles():
     for seed in range(10):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         h = h_minus(cx)
         for rep in h.basis:
             assert rep.min_exponent() is None or rep.min_exponent() >= 0
@@ -189,7 +132,7 @@ def test_minus_basis_representatives_are_nonbounding_cycles():
 
 
 def test_infinity_homology_of_torsion_vanishes():
-    h = h_infinity(_two_step(4))
+    h = h_infinity(two_step(4))
     assert h.free_ranks == {} and h.f2_dimension == 0 and h.basis == ()
 
 
@@ -212,7 +155,7 @@ def test_infinity_homology_adds_under_direct_sum():
 
 
 def test_plus_homology_of_a_two_step_lists_negative_shifts():
-    h = h_plus(_two_step(2))
+    h = h_plus(two_step(2))
     assert h.flavor == "plus"
     assert h.f2_dimension == 2
     assert h.free_ranks == {}
@@ -228,21 +171,21 @@ def test_plus_homology_of_a_free_generator_is_infinite():
 
 def test_plus_dimension_is_the_exponent_sum():
     for seed in range(10):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         nf = classify(cx)
         assert h_plus(cx).f2_dimension == sum(nf.exponents())
 
 
 def test_plus_finite_exactly_when_infinity_vanishes():
     for seed in range(20):
-        cx = _mixed_complex(seed)
+        cx = mixed_complex(seed)
         finite = h_plus(cx).f2_dimension is not None
         assert finite == (sum(h_infinity(cx).free_ranks.values()) == 0)
 
 
 def test_plus_basis_elements_are_cycles_in_the_quotient():
     for seed in range(10):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         for rep in h_plus(cx).basis:
             assert rep  # nonzero
             assert rep.nonnegative_part() == LaurentChain.zero()
@@ -254,7 +197,7 @@ def test_plus_basis_matches_the_windowed_quotient_homology():
     # be linearly independent in the stable windowed homology, and count
     # its full dimension
     for seed in range(8):
-        cx = _torsion_complex(seed, max_rank=5, max_exponent=4)
+        cx = torsion_complex(seed, max_rank=5, max_exponent=4)
         h = h_plus(cx)
         n_max = max((n for _, n in classify(cx).two_steps), default=0)
         small = n_max + 2
@@ -270,7 +213,7 @@ def test_plus_basis_matches_the_windowed_quotient_homology():
             assert expected == _stable_plus_dimension(cx, grading,
                                                       2 * small, 2 * big)
             assert len(reps) == expected
-            wb = _PlusSlice(cx, big, grading)
+            wb = QuotientSlice(cx, big, grading)
             coords = [wb.class_of(rep) for rep in reps]
             assert all(c is not None for c in coords)
             assert rank([c for c in coords if c is not None]) == len(reps)
@@ -281,7 +224,7 @@ def test_plus_basis_matches_the_windowed_quotient_homology():
 
 
 def test_red_homology_sides_agree_on_a_two_step():
-    m, p = h_red(_two_step(3), "minus"), h_red(_two_step(3), "plus")
+    m, p = h_red(two_step(3), "minus"), h_red(two_step(3), "plus")
     assert m.flavor == "red_minus" and p.flavor == "red_plus"
     assert m.f2_dimension == p.f2_dimension == 3
     assert m.torsion == ((0, 3),)
@@ -304,19 +247,19 @@ def test_red_homology_adds_under_direct_sum():
 
 def test_red_homology_needs_a_valid_side():
     with pytest.raises(ParameterOutOfRange):
-        h_red(_two_step(1), "infinity")
+        h_red(two_step(1), "infinity")
 
 
 def test_red_sides_have_equal_dimension_even_with_free_summands():
     for seed in range(10):
-        cx = _mixed_complex(seed)
+        cx = mixed_complex(seed)
         assert (h_red(cx, "minus").f2_dimension
                 == h_red(cx, "plus").f2_dimension)
 
 
 def test_red_homology_matches_the_full_flavors_on_torsion_complexes():
     for seed in range(15):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         for side, full in (("minus", h_minus(cx)), ("plus", h_plus(cx))):
             red = h_red(cx, side)
             assert red.torsion == full.torsion
@@ -325,7 +268,7 @@ def test_red_homology_matches_the_full_flavors_on_torsion_complexes():
 
 
 def test_json_layout_of_presentations():
-    d = h_minus(_two_step(2)).to_json_dict()
+    d = h_minus(two_step(2)).to_json_dict()
     assert d == {
         "flavor": "minus",
         "free_ranks": {},
@@ -344,7 +287,7 @@ def test_json_layout_of_presentations():
 
 
 def _diamond(n: int) -> GradedComplex:
-    cx = _two_step(n)
+    cx = two_step(n)
     return tensor(cx, dual(cx))
 
 
@@ -409,7 +352,7 @@ def test_delta_inverse_of_the_diagonal_image_up_to_boundaries():
 
 def test_delta_round_trip_fixes_every_minus_basis_class():
     for seed in range(10):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         for y in h_red(cx, "minus").basis:
             back = delta_inverse(cx, y)
             again = delta(cx, back)
@@ -443,7 +386,7 @@ def test_delta_inverse_requires_vanishing_infinity_flavor():
 
 
 def test_delta_inverse_rejects_non_cycles():
-    cx = _two_step(2)
+    cx = two_step(2)
     with pytest.raises(NotACycle):
         delta_inverse(cx, LaurentChain.of(("a", 0)))  # d(a) = U^2 b != 0
     with pytest.raises(NotACycle):
@@ -525,7 +468,7 @@ def test_delta_inverse_matches_the_flat_coordinate_reference():
             LaurentChain(("b", e) for e in range(0, n, 2)),
             LaurentChain.of(("b", n - 1)), LaurentChain.of(("b", 0))])
     for seed in range(20):
-        cx = _torsion_complex(seed, max_rank=4, max_exponent=4)
+        cx = torsion_complex(seed, max_rank=4, max_exponent=4)
         _assert_matches_flat_delta_inverse(*_cotrace_cycles(cx, seed))
         rng = random.Random(seed)
         _assert_matches_flat_delta_inverse(
@@ -536,7 +479,7 @@ def test_delta_inverse_matches_the_flat_coordinate_reference():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_delta_inverse_matches_the_flat_reference_under_hypothesis(seed: int):
-    cx = _torsion_complex(seed, max_rank=4, max_exponent=4)
+    cx = torsion_complex(seed, max_rank=4, max_exponent=4)
     _assert_matches_flat_delta_inverse(*_cotrace_cycles(cx, seed))
     rng = random.Random(seed)
     _assert_matches_flat_delta_inverse(
@@ -562,7 +505,7 @@ def test_a_wrong_per_summand_product_fails_the_zig_zag_recheck(monkeypatch):
 
 
 def test_exactness_report_on_a_two_step():
-    report = les_exactness_check(_two_step(3))
+    report = les_exactness_check(two_step(3))
     assert report["exact"] is True
     assert report["rank"] == 2
     assert report["window"] == 2 * 3 + 2
@@ -581,7 +524,7 @@ def test_exactness_report_on_a_free_generator():
 
 def test_exactness_on_random_complexes():
     for seed in range(20):
-        assert les_exactness_check(_mixed_complex(seed))["exact"] is True
+        assert les_exactness_check(mixed_complex(seed))["exact"] is True
 
 
 class _StandaloneWindow:
@@ -673,7 +616,7 @@ def _reference_exactness_report(cx: GradedComplex) -> dict:
 
 def test_exactness_report_matches_the_standalone_window_reference():
     for seed in range(40):
-        cx = _mixed_complex(seed)
+        cx = mixed_complex(seed)
         assert (json.dumps(les_exactness_check(cx))
                 == json.dumps(_reference_exactness_report(cx)))
 
@@ -681,7 +624,7 @@ def test_exactness_report_matches_the_standalone_window_reference():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_exactness_report_matches_the_reference_under_hypothesis(seed: int):
-    cx = _mixed_complex(seed)
+    cx = mixed_complex(seed)
     assert (json.dumps(les_exactness_check(cx))
             == json.dumps(_reference_exactness_report(cx)))
 
@@ -692,7 +635,7 @@ def test_window_layout_and_boundaries_match_the_term_by_term_reference():
     # differential term at a time, each kept where it lands inside the
     # window.  One window serves every top: it is its width.
     for seed in range(10):
-        cx = _mixed_complex(seed)
+        cx = mixed_complex(seed)
         for width in (7, 5):
             w = _Window(cx, width)
             for top in (0, 4, -3):
@@ -736,12 +679,8 @@ def _paired_complex(seed: int, one_steps: bool) -> GradedComplex:
 
 
 def _window_inputs(seed: int, one_steps: bool) -> list[GradedComplex]:
-    rng = random.Random(seed)
-    scrambled = random_basis_change(
-        realize(random_normal_form(rng, max_rank=7, max_exponent=4,
-                                   one_steps=one_steps)),
-        seed=seed + 1, steps=rng.randint(0, 15))
-    return [scrambled, _paired_complex(seed, one_steps)]
+    return [scrambled(seed, 7, 4, one_steps)[1],
+            _paired_complex(seed, one_steps)]
 
 
 def _xor_of(pool: list[int], rng: random.Random) -> int:
@@ -942,7 +881,7 @@ def _with_a_cancelled_pair(seed: int) -> GradedComplex:
     """A mixed complex plus an acyclic summand c -> (1 + U) e, scrambled,
     so the reduction cancels a pair."""
     rng = random.Random(seed)
-    cx = _mixed_complex(seed)
+    cx = mixed_complex(seed)
     g = rng.choice(sorted(set(cx.gradings.values())))
     unit = build_complex("unit", [("c", g), ("e", g - 1)],
                          [("c", "e", Poly.of(0, 1))])
@@ -956,7 +895,7 @@ def _with_a_cancelled_pair(seed: int) -> GradedComplex:
 def test_window_maps_match_the_stripe_and_shift_reference(
         seed: int, one_steps: bool, width: int):
     rng = random.Random(seed)
-    inputs = _window_inputs(seed, one_steps) + [_mixed_complex(seed),
+    inputs = _window_inputs(seed, one_steps) + [mixed_complex(seed),
                                                 _with_a_cancelled_pair(seed)]
     for cx in inputs:
         w = _Window(cx, width)
@@ -985,7 +924,7 @@ def test_windowed_connecting_map_must_land_in_the_subcomplex():
     # two-step above the rows of [0, w) in [-w, w); the check refuses it.
     # d also feeds the elimination, so it is swapped only once every
     # grading has been eliminated with the true one
-    cx = _two_step(3)
+    cx = two_step(3)
     window = _Window(cx, 4 * 8)
     for g in window.gradings:
         window._eliminate(g)
@@ -1003,7 +942,7 @@ def test_exactness_needs_the_composite_to_vanish():
 
 
 def test_window_homology_refuses_a_width_past_its_own():
-    window = _Window(_two_step(3), 5)
+    window = _Window(two_step(3), 5)
     assert window.homology(1, 5).reps == window.homology(1).reps
     with pytest.raises(CrossCheckMismatch,
                        match="width 6 reads past the window's width 5"):
@@ -1061,7 +1000,7 @@ def test_mapping_torus_betti_satisfies_the_cone_rank_identity():
 
 def test_mapping_torus_rejects_u_dependence():
     with pytest.raises(NotUFree):
-        mapping_torus_betti(_two_step(1), identity_map(_two_step(1)))
+        mapping_torus_betti(two_step(1), identity_map(two_step(1)))
     cy = _circle()
     bad = build_chain_map("u-scale", cy, cy, 0, [("e0", "e0", Poly.u(1))])
     with pytest.raises(NotUFree):
@@ -1098,7 +1037,7 @@ def test_pairing_is_bilinear_over_f2():
 def test_pairing_is_adjoint_to_the_differentials():
     rng = random.Random(5)
     for seed in range(15):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         dv = dual(cx)
         for _ in range(10):
             z = LaurentChain.of(*(
@@ -1114,7 +1053,7 @@ def test_pairing_is_adjoint_to_the_differentials():
 
 def test_pairing_of_plus_basis_with_dual_red_basis_is_perfect():
     for seed in range(15):
-        cx = _torsion_complex(seed, max_rank=6, max_exponent=4)
+        cx = torsion_complex(seed, max_rank=6, max_exponent=4)
         xs = h_plus(cx).basis
         ys = h_red(dual(cx), "minus").basis
         assert len(xs) == len(ys)
@@ -1129,5 +1068,5 @@ def test_pairing_of_plus_basis_with_dual_red_basis_is_perfect():
 
 def test_plus_dimension_matches_dual_red_dimension():
     for seed in range(10):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         assert h_plus(cx).f2_dimension == h_red(dual(cx), "minus").f2_dimension

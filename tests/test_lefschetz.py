@@ -43,7 +43,6 @@ from uchain import lefschetz
 from uchain.lefschetz import (
     TrialFailure,
     VerificationReport,
-    _trial_seed,
     _pool_size,
     cotrace_map,
     delta_quantity,
@@ -60,33 +59,14 @@ from uchain.normal_form import (
     classify,
     random_basis_change,
     random_chain_map,
-    random_normal_form,
     realize,
     reduce_complex,
 )
 from uchain.scalars import P1, Poly
 
-from f2_reference import Span, chain_of, greedy_window_homology, mask_of
-
-
-def _two_step(n: int) -> GradedComplex:
-    return build_complex("two", [("a", 1), ("b", 0)], [("a", "b", Poly.u(n))])
-
-
-def _torsion_complex(seed: int, max_rank: int = 6,
-                     max_exponent: int = 5) -> GradedComplex:
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=max_rank, max_exponent=max_exponent,
-                            one_steps=False)
-    return random_basis_change(realize(nf), seed=seed + 1,
-                               steps=rng.randint(0, 15))
-
-
-def _any_complex(seed: int) -> GradedComplex:
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=6, max_exponent=4)
-    return random_basis_change(realize(nf), seed=seed + 1,
-                               steps=rng.randint(0, 15))
+from conftest import campaign_trial, scrambled, torsion_complex, two_step
+from f2_reference import (QuotientSlice, Span, chain_of,
+                          greedy_window_homology, mask_of)
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +74,33 @@ def _any_complex(seed: int) -> GradedComplex:
 
 
 def test_phi_differentiates_an_odd_exponent():
-    f = phi(_two_step(3))
+    f = phi(two_step(3))
     assert f.degree == -1
     assert f.entries == {("b", "a"): Poly.u(2)}
 
 
 def test_phi_vanishes_on_even_exponents():
-    assert phi(_two_step(2)).entries == {}
+    assert phi(two_step(2)).entries == {}
 
 
 def test_phi_anticommutes_with_the_differential_exactly():
     # characteristic 2: anticommuting and commuting coincide; the identity
     # is the derivative of d o d = 0
     for seed in range(25):
-        cx = _any_complex(seed)
+        cx = scrambled(seed, 6, 4)[1]
         f = phi(cx)
         assert _mat_mul(cx.d, f.entries) == _mat_mul(f.entries, cx.d)
 
 
 def test_phi_dual_transposes_the_derivative():
-    f = phi_dual(_two_step(3))
+    f = phi_dual(two_step(3))
     assert f.entries == {("a*", "b*"): Poly.u(2)}
     assert f.source.generators == ("a*", "b*")
 
 
 def test_phi_dual_equals_phi_of_the_dual():
     for seed in range(50):
-        cx = _any_complex(seed)
+        cx = scrambled(seed, 6, 4)[1]
         assert phi_dual(cx).entries == phi(dual(cx)).entries
 
 
@@ -139,7 +119,7 @@ def test_trace_collects_matching_tensor_factors():
 
 
 def test_trace_kills_mismatched_tensor_factors():
-    cx = _two_step(2)
+    cx = two_step(2)
     tr = trace_map(cx)
     assert tr.apply_chain(LaurentChain.of(("a.b*", 0))) == LaurentChain.zero()
     assert tr.apply_chain(LaurentChain.of(("b.b*", 1))) == LaurentChain.of(("1", 1))
@@ -147,7 +127,7 @@ def test_trace_kills_mismatched_tensor_factors():
 
 def test_trace_annihilates_boundaries():
     for seed in range(10):
-        cx = _any_complex(seed)
+        cx = scrambled(seed, 6, 4)[1]
         t = tensor(cx, dual(cx))
         tr = trace_map(cx)
         for g in t.generators:
@@ -156,7 +136,7 @@ def test_trace_annihilates_boundaries():
 
 
 def test_cotrace_emits_the_diagonal_cycle():
-    cx = _two_step(3)
+    cx = two_step(3)
     z = cotrace_map(cx).apply_chain(LaurentChain.of(("1", 0)))
     assert z == LaurentChain.of(("a.a*", 0), ("b.b*", 0))
     t = tensor(cx, dual(cx))
@@ -165,7 +145,7 @@ def test_cotrace_emits_the_diagonal_cycle():
 
 def test_trace_of_cotrace_is_the_rank_parity():
     for seed in range(15):
-        cx = _any_complex(seed)
+        cx = scrambled(seed, 6, 4)[1]
         composite = compose(trace_map(cx), cotrace_map(cx))
         one = LaurentChain.of(("1", 0))
         expected = LaurentChain.of(("1", 0)) if cx.rank % 2 else LaurentChain.zero()
@@ -177,15 +157,15 @@ def test_trace_of_cotrace_is_the_rank_parity():
 
 
 def test_duality_quantity_of_a_two_step_is_the_exponent_parity():
-    assert delta_quantity(_two_step(3), identity_map(_two_step(3))) == 1
-    assert delta_quantity(_two_step(2), identity_map(_two_step(2))) == 0
+    assert delta_quantity(two_step(3), identity_map(two_step(3))) == 1
+    assert delta_quantity(two_step(2), identity_map(two_step(2))) == 0
 
 
 def test_duality_quantity_scales_with_the_constant_coefficient():
-    cx = _two_step(3)
+    cx = two_step(3)
     assert delta_quantity(cx, scalar_map(cx, Poly.of(0, 1))) == 1  # k=1, n=3
     assert delta_quantity(cx, scalar_map(cx, Poly.of(1, 2))) == 0  # k=0
-    even = _two_step(4)
+    even = two_step(4)
     assert delta_quantity(even, scalar_map(even, Poly.of(0, 3))) == 0  # n even
 
 
@@ -196,7 +176,7 @@ def test_duality_quantity_requires_finite_plus_homology():
 
 
 def test_duality_quantity_rejects_mismatched_maps():
-    cx = _two_step(2)
+    cx = two_step(2)
     with pytest.raises(DegreeMismatch):
         delta_quantity(cx, build_chain_map("h", cx, cx, 1, []))
     other = build_complex("pt", [("x", 0)])
@@ -206,8 +186,8 @@ def test_duality_quantity_rejects_mismatched_maps():
 
 def test_duality_quantity_is_additive_over_direct_sums():
     for seed in range(10):
-        a = _torsion_complex(seed, max_rank=4)
-        b0 = _torsion_complex(seed + 400, max_rank=4)
+        a = torsion_complex(seed, max_rank=4)
+        b0 = torsion_complex(seed + 400, max_rank=4)
         b = relabel(b0, {g: g + "'" for g in b0.generators}, name="b")
         fa = random_chain_map(a, seed=seed + 1)
         fb0 = random_chain_map(b0, seed=seed + 2)
@@ -224,7 +204,7 @@ def test_duality_quantity_is_additive_over_direct_sums():
 
 def test_duality_quantity_is_invariant_under_conjugation():
     for seed in range(15):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         f = random_chain_map(cx, seed=seed + 31)
         moved, iso, iso_inv = random_basis_change(cx, seed=seed + 77, steps=10,
                                                   with_iso=True)
@@ -235,7 +215,7 @@ def test_duality_quantity_is_invariant_under_conjugation():
 def test_both_composition_orders_give_the_same_quantity(
         literal_delta_quantity):
     for seed in range(20):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         f = random_chain_map(cx, seed=seed + 13)
         assert literal_delta_quantity(cx, f, swapped=True) == \
             delta_quantity(cx, f)
@@ -255,12 +235,7 @@ def test_blockwise_quantity_matches_the_literal_composite_on_campaign_trials(
         literal_delta_quantity):
     # the trials verify_proposition(20260814, ..., 8, 6) runs
     for index in range(40):
-        rng = random.Random(_trial_seed(20260814, index))
-        nf = random_normal_form(rng, 8, 6, one_steps=False)
-        cx = random_basis_change(realize(nf, name=f"trial{index}"),
-                                 seed=rng.getrandbits(32),
-                                 steps=rng.randint(0, 20))
-        f = random_chain_map(cx, rng.getrandbits(32))
+        cx, f = campaign_trial(index)
         _assert_matches_the_literal_composite(literal_delta_quantity, cx, f)
 
 
@@ -328,13 +303,13 @@ def test_blockwise_quantity_matches_the_literal_composite_at_large_rank(
 
 def test_oracle_on_two_steps_counts_the_exponent():
     for n in [*range(1, 9), 1000, 1001, 3000]:
-        cx = _two_step(n)
+        cx = two_step(n)
         assert lefschetz_oracle(cx, identity_map(cx)) == n % 2
 
 
 def test_oracle_of_the_zero_map_is_zero():
     for seed in range(5):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         assert lefschetz_oracle(cx, zero_map(cx, cx)) == 0
 
 
@@ -342,7 +317,7 @@ def test_oracle_of_a_u_multiple_is_zero():
     # multiplication by U lowers the depth filtration strictly, so the
     # induced matrix is nilpotent-triangular and traceless
     for seed in range(10):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         g = random_chain_map(cx, seed=seed + 3)
         u_g = compose(scalar_map(cx, Poly.u(1)), g)
         assert lefschetz_oracle(cx, u_g) == 0
@@ -356,14 +331,14 @@ def test_oracle_requires_finite_plus_homology():
 
 def test_grading_split_sums_to_the_oracle():
     for seed in range(10):
-        cx = _torsion_complex(seed)
+        cx = torsion_complex(seed)
         f = random_chain_map(cx, seed=seed + 5)
         split = lefschetz_by_grading(cx, f)
         assert sum(split.values()) % 2 == lefschetz_oracle(cx, f)
 
 
 def test_grading_split_of_a_two_step_sits_at_the_top_generator():
-    split = lefschetz_by_grading(_two_step(3), identity_map(_two_step(3)))
+    split = lefschetz_by_grading(two_step(3), identity_map(two_step(3)))
     assert split == {0: 0, 1: 1}
 
 
@@ -456,7 +431,7 @@ def _assert_stable_traces_match_the_references(cx: GradedComplex,
 
 def test_stable_traces_match_the_chain_round_trip():
     for seed in range(20):
-        for cx in (_torsion_complex(seed), _paired_torsion_complex(seed)):
+        for cx in (torsion_complex(seed), _paired_torsion_complex(seed)):
             _assert_stable_traces_match_the_references(
                 cx, random_chain_map(cx, seed=seed + 11))
 
@@ -464,7 +439,7 @@ def test_stable_traces_match_the_chain_round_trip():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_stable_traces_match_the_chain_round_trip_under_hypothesis(seed: int):
-    for cx in (_torsion_complex(seed), _paired_torsion_complex(seed)):
+    for cx in (torsion_complex(seed), _paired_torsion_complex(seed)):
         _assert_stable_traces_match_the_references(
             cx, random_chain_map(cx, seed=seed + 11))
 
@@ -546,7 +521,7 @@ def _assert_certificate_refuses(cx: GradedComplex, f: ChainMap,
 def test_the_oracle_certifies_the_maximal_exponent(wrong):
     checked = 0
     for seed in range(30):
-        cx = _torsion_complex(seed, max_rank=6, max_exponent=6)
+        cx = torsion_complex(seed, max_rank=6, max_exponent=6)
         red = reduce_complex(cx)
         cap = wrong(red.normal_form.max_exponent)
         if cap != red.normal_form.max_exponent:
@@ -560,7 +535,7 @@ def test_the_oracle_certifies_the_maximal_exponent(wrong):
 
 def test_the_oracle_certifies_that_no_1_step_hides():
     for seed in range(10):
-        cx = direct_sum(_torsion_complex(seed),
+        cx = direct_sum(torsion_complex(seed),
                         build_complex("pt", [("x", seed % 3 - 1)]))
         red = reduce_complex(cx)
         assert red.one_steps
@@ -593,22 +568,13 @@ def test_stable_traces_refuse_an_image_past_the_stable_prefix():
 
 def test_quantity_equals_oracle_on_seeded_trials():
     for seed in range(60):
-        cx = _torsion_complex(seed, max_rank=6, max_exponent=5)
+        cx = torsion_complex(seed, max_rank=6, max_exponent=5)
         f = random_chain_map(cx, seed=seed * 31 + 7)
         assert delta_quantity(cx, f) == lefschetz_oracle(cx, f)
 
 
 # ---------------------------------------------------------------------------
 # relations between constructions: each is an oracle of its own
-
-
-def _campaign_trial(index: int) -> tuple[GradedComplex, ChainMap]:
-    """Trial ``index`` of verify_proposition(20260814, ..., 8, 6)."""
-    rng = random.Random(_trial_seed(20260814, index))
-    nf = random_normal_form(rng, 8, 6, one_steps=False)
-    cx = random_basis_change(realize(nf, name=f"trial{index}"),
-                             seed=rng.getrandbits(32), steps=rng.randint(0, 20))
-    return cx, random_chain_map(cx, rng.getrandbits(32))
 
 
 def _with_cancelled_pairs(seed: int, exponents: list[int], cancelled: int,
@@ -665,7 +631,7 @@ def _assert_duality(cx: GradedComplex, f: ChainMap) -> bool:
 def test_lefschetz_numbers_respect_duality():
     # campaign trials, complexes with cancelled pairs, and direct sums and
     # tensor products of trials
-    inputs = [_campaign_trial(index) for index in range(200)]
+    inputs = [campaign_trial(index) for index in range(200)]
     inputs += [_with_cancelled_pairs(seed, [1 + seed % 5, 2], 1 + seed % 2,
                                      steps=12)
                for seed in range(60)]
@@ -691,7 +657,7 @@ def test_lefschetz_numbers_respect_duality_under_hypothesis(
 
 def test_graded_traces_are_invariant_under_conjugation():
     for index in range(150):
-        cx, f = _campaign_trial(index)
+        cx, f = campaign_trial(index)
         moved, iso, iso_inv = random_basis_change(cx, seed=index, steps=12,
                                                   with_iso=True)
         conj = compose(iso_inv, compose(f, iso))
@@ -700,7 +666,7 @@ def test_graded_traces_are_invariant_under_conjugation():
 
 def test_graded_traces_and_quantity_add_over_direct_sums():
     for index in range(0, 200, 2):
-        (cx, f), (other, g) = _campaign_trial(index), _campaign_trial(index + 1)
+        (cx, f), (other, g) = campaign_trial(index), campaign_trial(index + 1)
         s, fs = _direct_sum(cx, f, other, g)
         a, b = lefschetz_by_grading(cx, f), lefschetz_by_grading(other, g)
         assert _nonzero(lefschetz_by_grading(s, fs)) == _nonzero(
@@ -713,45 +679,12 @@ def test_graded_traces_and_quantity_add_over_direct_sums():
 # homotopy invariance of the derivative endomorphism
 
 
-class _QuotientSlice:
-    """Windowed quotient-complex homology at one grading (test-local
-    oracle, independent of the library's internal windows)."""
-
-    def __init__(self, cx: GradedComplex, width: int, grading: int):
-        from f2_reference import QuotientBasis, kernel_combos
-
-        def slice_at(k: int) -> list[tuple[str, int]]:
-            return [(g, e) for e in range(-width, 0)
-                    for g in cx.generators if cx.gradings[g] == k]
-
-        self.basis = slice_at(grading)
-        self.pos = {v: i for i, v in enumerate(self.basis)}
-        below = {v: i for i, v in enumerate(slice_at(grading - 1))}
-        boundaries = []
-        for v in slice_at(grading + 1):
-            img = cx.boundary_chain(LaurentChain.of(v)).negative_part()
-            boundaries.append(sum(1 << self.pos[t] for t in img.terms))
-        cols = []
-        for v in self.basis:
-            img = cx.boundary_chain(LaurentChain.of(v)).negative_part()
-            cols.append(sum(1 << below[t] for t in img.terms))
-        self.homology = QuotientBasis(kernel_combos(cols), boundaries)
-
-    def class_of(self, chain: LaurentChain) -> int | None:
-        m = 0
-        for t in chain.terms:
-            if t not in self.pos:
-                return None
-            m |= 1 << self.pos[t]
-        return self.homology.coords(m)
-
-
 def test_derivative_endomorphisms_of_two_bases_agree_on_homology():
     # the derivative is basis dependent at chain level, but its induced
     # map on the quotient homology is not
     from uchain.homology import h_plus
     for seed in range(20):
-        cx = _torsion_complex(seed, max_rank=5, max_exponent=4)
+        cx = torsion_complex(seed, max_rank=5, max_exponent=4)
         moved, iso, iso_inv = random_basis_change(cx, seed=seed + 19, steps=12,
                                                   with_iso=True)
         f1 = phi(cx)
@@ -759,7 +692,7 @@ def test_derivative_endomorphisms_of_two_bases_agree_on_homology():
         width = 3 * (max((n for _, n in classify(cx).two_steps), default=1) + 2)
         for x in h_plus(cx).basis:
             g = cx.gradings[x.sorted_terms()[0][0]]
-            slice_below = _QuotientSlice(cx, width, g - 1)
+            slice_below = QuotientSlice(cx, width, g - 1)
             y1 = f1.apply_chain(x).negative_part()
             y2 = f2.apply_chain(x).negative_part()
             c1, c2 = slice_below.class_of(y1), slice_below.class_of(y2)
@@ -902,13 +835,7 @@ def test_a_live_phi_dual_mutation_is_caught_in_both_directions():
     # trials drawn as lefschetz._run_trial draws them
     counts = {"mutated_one": 0, "one_against_zero": 0, "zero_against_one": 0}
     for index in range(60):
-        seed = _trial_seed(20260814, index)
-        rng = random.Random(seed)
-        nf = random_normal_form(rng, 8, 6, one_steps=False)
-        cx = random_basis_change(realize(nf, name=f"trial{index}"),
-                                 seed=rng.getrandbits(32),
-                                 steps=rng.randint(0, 20))
-        f = random_chain_map(cx, rng.getrandbits(32))
+        cx, f = campaign_trial(index)
         oracle = lefschetz_oracle(cx, f)
         assert delta_quantity(cx, f) == oracle
         mutated = delta_quantity(cx, f,

@@ -13,8 +13,8 @@ from uchain import normal_form
 from uchain.complexes import (GradedComplex, _accumulate, build_complex,
                                complex_to_text, compose, dual, identity_map,
                                map_to_text, tensor)
-from uchain.errors import (CrossCheckMismatch, ExponentOverflow,
-                           ParameterOutOfRange, RankTooLarge)
+from uchain.errors import (ExponentOverflow, ParameterOutOfRange,
+                           RankTooLarge)
 from uchain.homology import h_minus, h_plus, h_red
 from uchain.lefschetz import (delta_quantity, lefschetz_by_grading,
                               verify_proposition)
@@ -31,14 +31,7 @@ from uchain.normal_form import (
 )
 from uchain.scalars import EXPONENT_LIMIT, LS0, LS1, LocalScalar, Poly, _val
 
-
-def _random_pair(seed: int, max_rank: int = 6, max_exponent: int = 5):
-    """(normal form, scrambled realization) from one seed."""
-    rng = random.Random(seed)
-    nf = random_normal_form(rng, max_rank=max_rank, max_exponent=max_exponent)
-    cx = random_basis_change(realize(nf), seed=seed + 1,
-                             steps=rng.randint(0, 15))
-    return nf, cx
+from conftest import scrambled
 
 
 def _with_unit_pair(seed: int, max_rank: int = 4) -> GradedComplex:
@@ -97,13 +90,13 @@ def test_classify_selects_the_minimal_valuation_pivot():
 
 def test_classify_round_trips_realize():
     for seed in range(50):
-        nf, _ = _random_pair(seed)
+        nf, _ = scrambled(seed, 6, 5)
         assert classify(realize(nf)) == nf
 
 
 def test_classify_is_a_basis_change_invariant():
     for seed in range(30):
-        nf, cx = _random_pair(seed)
+        nf, cx = scrambled(seed, 6, 5)
         assert classify(cx) == nf
 
 
@@ -167,12 +160,12 @@ def test_realize_rejects_nonpositive_exponents():
 
 
 def test_zero_steps_leaves_the_complex_unchanged():
-    _, cx = _random_pair(3)
+    _, cx = scrambled(3, 6, 5)
     assert random_basis_change(cx, seed=42, steps=0) == cx
 
 
 def test_basis_change_is_deterministic_in_the_seed():
-    _, cx = _random_pair(4)
+    _, cx = scrambled(4, 6, 5)
     a = random_basis_change(cx, seed=7, steps=9)
     b = random_basis_change(cx, seed=7, steps=9)
     assert a == b
@@ -181,7 +174,7 @@ def test_basis_change_is_deterministic_in_the_seed():
 
 def test_basis_change_isomorphism_composes_to_the_identity():
     for seed in range(10):
-        _, cx = _random_pair(seed)
+        _, cx = scrambled(seed, 6, 5)
         out, iso, iso_inv = random_basis_change(cx, seed=seed + 90, steps=8,
                                                 with_iso=True)
         assert compose(iso, iso_inv) == identity_map(cx)
@@ -189,7 +182,7 @@ def test_basis_change_isomorphism_composes_to_the_identity():
 
 
 def test_basis_change_preserves_gradings():
-    _, cx = _random_pair(5)
+    _, cx = scrambled(5, 6, 5)
     out = random_basis_change(cx, seed=11, steps=20)
     assert out.generators == cx.generators
     assert out.gradings == cx.gradings
@@ -220,7 +213,7 @@ def test_basis_change_past_the_exponent_limit_raises():
 
 
 def test_random_chain_map_is_deterministic():
-    _, cx = _random_pair(6)
+    _, cx = scrambled(6, 6, 5)
     assert random_chain_map(cx, seed=5) == random_chain_map(cx, seed=5)
 
 
@@ -229,13 +222,13 @@ def test_random_chain_map_validates_the_chain_relation():
     # construction), so check the matrices here
     from uchain.complexes import _mat_mul
     for seed in range(20):
-        _, cx = _random_pair(seed)
+        _, cx = scrambled(seed, 6, 5)
         f = random_chain_map(cx, seed=seed + 77)
         assert _mat_mul(cx.d, f.entries) == _mat_mul(f.entries, cx.d)
 
 
 def test_random_chain_map_reaches_the_identity():
-    _, cx = _random_pair(8)
+    _, cx = scrambled(8, 6, 5)
     ident = identity_map(cx)
     hits = sum(random_chain_map(cx, seed=s) == ident for s in range(64))
     assert hits >= 1
@@ -379,9 +372,9 @@ def _assert_heap_matches_full_scan(cx: GradedComplex) -> tuple[int, int]:
 def test_pivot_heap_matches_the_full_scan_on_seeded_complexes():
     seen_cancelled = seen_ties = 0
     for seed in range(12):
-        _, cx = _random_pair(seed)
+        _, cx = scrambled(seed, 6, 5)
         _assert_heap_matches_full_scan(cx)
-        plain = _random_pair(seed, max_rank=6, max_exponent=3)[1]
+        plain = scrambled(seed, 6, 3)[1]
         unit = _with_unit_pair(seed)
         for x in (unit, tensor(plain, dual(plain)), tensor(unit, dual(unit))):
             cancelled, ties = _assert_heap_matches_full_scan(x)
@@ -399,7 +392,7 @@ def test_pivot_heap_matches_the_full_scan(seed, unit_pair, pairing):
     if unit_pair:
         cx = _with_unit_pair(seed, max_rank=4 if pairing else 6)
     else:
-        cx = _random_pair(seed, max_rank=6 if pairing else 8)[1]
+        cx = scrambled(seed, 6 if pairing else 8, 5)[1]
     _assert_heap_matches_full_scan(tensor(cx, dual(cx)) if pairing else cx)
 
 
@@ -416,7 +409,7 @@ def _dense(cols_or_rows, n: int, by_column: bool) -> list[list]:
 
 def test_exact_transform_matrices_are_mutually_inverse():
     for seed in range(10):
-        _, cx = _random_pair(seed)
+        _, cx = scrambled(seed, 6, 5)
         red = reduce_complex(cx)
         q_cols, qinv_rows = red.exact_transform()
         n = cx.rank
@@ -429,9 +422,9 @@ def test_exact_transform_matrices_are_mutually_inverse():
 
 
 def test_series_transform_agrees_with_exact_transform():
-    inputs = [_random_pair(seed)[1] for seed in range(10)]
+    inputs = [scrambled(seed, 6, 5)[1] for seed in range(10)]
     for seed in range(3):
-        small = _random_pair(seed, max_rank=4, max_exponent=3)[1]
+        small = scrambled(seed, 4, 3)[1]
         inputs.append(tensor(small, dual(small)))
         unit = _with_unit_pair(seed, max_rank=2)
         inputs.append(tensor(unit, dual(unit)))
@@ -452,7 +445,7 @@ def test_reduction_diagonalizes_the_differential():
     # Q^-1 d Q must be block diagonal: the pivot U^n * unit in each 2-step
     # block (column a_k, row b_k), zero elsewhere.
     for seed in range(10):
-        _, cx = _random_pair(seed)
+        _, cx = scrambled(seed, 6, 5)
         red = reduce_complex(cx)
         n = cx.rank
         q_cols, qinv_rows = red.exact_transform()
@@ -524,8 +517,8 @@ def _stepwise_basis_change(cx: GradedComplex, seed: int, steps: int):
 
 def _replay_inputs(seed: int) -> list[GradedComplex]:
     """A scrambled complex, a pairing complex and one with a unit pair."""
-    small = _random_pair(seed, max_rank=4, max_exponent=3)[1]
-    return [_random_pair(seed, max_rank=8)[1], tensor(small, dual(small)),
+    small = scrambled(seed, 4, 3)[1]
+    return [scrambled(seed, 8, 5)[1], tensor(small, dual(small)),
             _with_unit_pair(seed)]
 
 
@@ -626,7 +619,8 @@ def test_a_second_reduction_matches_a_fresh_copy_on_seeded_complexes():
 @given(seed=st.integers(min_value=0, max_value=10_000),
        unit_summands=st.booleans())
 def test_a_second_reduction_matches_a_fresh_copy(seed, unit_summands):
-    cx = _with_unit_summands(seed) if unit_summands else _random_pair(seed)[1]
+    cx = (_with_unit_summands(seed) if unit_summands
+          else scrambled(seed, 6, 5)[1])
     _assert_second_call_matches_a_fresh_copy(cx)
 
 
@@ -663,7 +657,7 @@ def test_every_reader_of_one_complex_shares_one_pivot_loop(pivot_loops):
 
 
 def test_derived_complexes_and_copies_run_their_own_pivot_loop(pivot_loops):
-    cx = _random_pair(4)[1]
+    cx = scrambled(4, 6, 5)[1]
     cd = dual(cx)
     product = tensor(cx, cd)
     copy = _fresh_copy(cx)
@@ -697,7 +691,7 @@ def test_minor_gcd_rejects_large_complexes():
 
 def test_minor_gcd_agrees_with_classify():
     for seed in range(40):
-        nf, cx = _random_pair(seed, max_rank=6)
+        nf, cx = scrambled(seed, 6, 5)
         assert minor_gcd_check(cx) == nf.exponents()
     # cancelled pairs: valuation-0 invariant factors inside a torsion block
     for seed in range(20):
