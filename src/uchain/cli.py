@@ -16,16 +16,14 @@ import json
 import sys
 from pathlib import Path
 
-from .complexes import (GradedComplex, _dual_id, cone, complex_to_text,
-                        dual, parse_chain_map, parse_complex)
-from .errors import InfinityNotZero, ParseError, UChainError
-from .gf2 import rank
-from .homology import (_h_plus, h_infinity, h_minus, h_plus, h_red,
-                       mapping_torus_betti)
+from .complexes import (ChainMap, GradedComplex, complex_to_text, cone,
+                        parse_chain_map, parse_complex)
+from .errors import ParseError, UChainError
+from .homology import (h_infinity, h_minus, h_plus, h_red,
+                       mapping_torus_betti, pairing_check)
 from .lefschetz import (delta_quantity, lefschetz_by_grading,
                         verify_proposition)
 from .normal_form import reduce_complex
-from .scalars import _pmul
 
 _FLAVORS = {
     "minus": h_minus,
@@ -49,6 +47,12 @@ def _load_complex(path: str) -> GradedComplex:
     return parse_complex(_read(path))
 
 
+def _load_endomorphism(args) -> tuple[GradedComplex, ChainMap]:
+    """``args.complex`` and then ``args.map`` on it, as source and target."""
+    cx = _load_complex(args.complex)
+    return cx, parse_chain_map(_read(args.map), cx, cx)
+
+
 @functools.cache   # built once per process, on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,46 +61,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "complexes over F2[U].")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, run,
+            *positional: str) -> argparse.ArgumentParser:
+        """A verb, its positional arguments and ``--output``; ``run(args)``
+        returns the payload and the exit code."""
         p = sub.add_parser(name, help=help_)
+        for arg in positional:
+            p.add_argument(arg)
         p.add_argument("--output", help="write the JSON payload to this path")
+        p.set_defaults(run=run)
         return p
 
-    p = add("classify", "normal form of a complex")
-    p.add_argument("complex")
-
-    p = add("homology", "homology presentation in one flavor")
-    p.add_argument("complex")
+    add("classify", "normal form of a complex", _cmd_classify, "complex")
+    p = add("homology", "homology presentation in one flavor",
+            _cmd_homology, "complex")
     p.add_argument("--flavor", choices=sorted(_FLAVORS), default="minus")
-
-    p = add("delta-quantity", "U^-1 coefficient of the duality composite")
-    p.add_argument("complex")
-    p.add_argument("map")
-
-    p = add("lefschetz", "trace of the induced map on plus-flavor homology")
-    p.add_argument("complex")
-    p.add_argument("map")
-
-    p = add("verify", "random campaign comparing the two computations")
+    add("delta-quantity", "U^-1 coefficient of the duality composite",
+        _cmd_delta_quantity, "complex", "map")
+    add("lefschetz", "trace of the induced map on plus-flavor homology",
+        _cmd_lefschetz, "complex", "map")
+    p = add("verify", "random campaign comparing the two computations",
+            _cmd_verify)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-rank", type=int, default=8)
     p.add_argument("--max-exponent", type=int, default=6)
     p.add_argument("--jobs", type=int, default=1)
-
-    p = add("cone", "mapping cone of a chain map")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("map")
-
-    p = add("mapping-torus", "F2 Betti numbers of the mapping torus")
-    p.add_argument("complex")
-    p.add_argument("map")
-
-    p = add("pairing-check", "perfect pairing between plus homology and "
-                             "the dual's torsion")
-    p.add_argument("complex")
-
+    add("cone", "mapping cone of a chain map", _cmd_cone,
+        "source", "target", "map")
+    add("mapping-torus", "F2 Betti numbers of the mapping torus",
+        _cmd_mapping_torus, "complex", "map")
+    add("pairing-check", "perfect pairing between plus homology and the "
+        "dual's torsion", _cmd_pairing_check, "complex")
     return parser
 
 
@@ -111,15 +107,11 @@ def _cmd_homology(args) -> tuple[dict, int]:
 
 
 def _cmd_delta_quantity(args) -> tuple[dict, int]:
-    cx = _load_complex(args.complex)
-    f = parse_chain_map(_read(args.map), cx, cx)
-    return {"value": delta_quantity(cx, f)}, 0
+    return {"value": delta_quantity(*_load_endomorphism(args))}, 0
 
 
 def _cmd_lefschetz(args) -> tuple[dict, int]:
-    cx = _load_complex(args.complex)
-    f = parse_chain_map(_read(args.map), cx, cx)
-    traces = lefschetz_by_grading(cx, f)
+    traces = lefschetz_by_grading(*_load_endomorphism(args))
     return {"value": sum(traces.values()) & 1,
             "trace_by_grading": {str(g): t for g, t in sorted(traces.items())}}, 0
 
@@ -138,66 +130,20 @@ def _cmd_cone(args) -> tuple[dict, int]:
 
 
 def _cmd_mapping_torus(args) -> tuple[dict, int]:
-    cx = _load_complex(args.complex)
-    f = parse_chain_map(_read(args.map), cx, cx)
-    betti = mapping_torus_betti(cx, f)
+    betti = mapping_torus_betti(*_load_endomorphism(args))
     return {"betti": {str(g): b for g, b in sorted(betti.items())}}, 0
 
 
 def _cmd_pairing_check(args) -> tuple[dict, int]:
-    cx = _load_complex(args.complex)
-    red = reduce_complex(cx)
-    if red.one_steps:
-        raise InfinityNotZero(
-            "free summands survive inverting U; the pairing check needs a "
-            "finite plus flavor")
-    plus = _h_plus(red)
-    # dual(C) gets a reduction of its own, not C's transposed, so the two
-    # bases of the pairing matrix come from independent reductions
-    red_minus = h_red(dual(cx), "minus")
-    # f2_pairing by index: bit j of holds[term] says dual class j has term
-    holds: dict[tuple[str, int], int] = {}
-    for j, y in enumerate(red_minus.basis):
-        for term in y.terms:
-            holds[term] = holds.get(term, 0) | 1 << j
-    rows = []
-    for x in plus.basis:
-        bits = 0
-        for g, i in x.terms:
-            bits ^= holds.get((_dual_id(g), -1 - i), 0)
-        rows.append(bits)
-    matrix_rank = rank(rows)
-    dim = plus.f2_dimension
-    invertible = matrix_rank == dim == red_minus.f2_dimension
-    # trace o cotrace (1) in the reduced basis, the columns of Q with the
-    # rows of Q^-1 as dual basis: sum_k (Q^-1 Q)[k][k], series mod U^cap
-    q, qi = red.series_transform()
-    traced = 0
-    for col, row in zip(q, qi):
-        for i in row.keys() & col.keys():
-            traced ^= _pmul(row[i], col[i])
-    trace_ok = traced & ((1 << red.cap) - 1) == cx.rank % 2
-    payload = {"dimension": dim, "matrix_rank": matrix_rank,
-               "invertible": invertible, "trace_cotrace_ok": trace_ok}
-    return payload, 0 if invertible and trace_ok else 4
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "homology": _cmd_homology,
-    "delta-quantity": _cmd_delta_quantity,
-    "lefschetz": _cmd_lefschetz,
-    "verify": _cmd_verify,
-    "cone": _cmd_cone,
-    "mapping-torus": _cmd_mapping_torus,
-    "pairing-check": _cmd_pairing_check,
-}
+    payload = pairing_check(_load_complex(args.complex))
+    ok = payload["invertible"] and payload["trace_cotrace_ok"]
+    return payload, 0 if ok else 4
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, code = _COMMANDS[args.verb](args)
+        payload, code = args.run(args)
     except UChainError as err:
         payload, code = {"error": {"kind": err.kind, "detail": err.detail}}, \
             err.exit_code

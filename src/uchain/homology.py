@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
-from .complexes import ChainMap, GradedComplex, LaurentChain, _dual_id
+from .complexes import ChainMap, GradedComplex, LaurentChain, _dual_id, dual
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
                      InfinityNotZero, NotACycle, NotACycleInPlus, NotInImage,
                      NotUFree, ParameterOutOfRange, RankTooLarge)
@@ -39,7 +39,7 @@ __all__ = [
     "h_minus", "h_infinity", "h_plus", "h_red",
     "delta", "delta_inverse",
     "les_exactness_check", "mapping_torus_betti", "f2_pairing",
-    "chain_to_json",
+    "pairing_check", "chain_to_json",
 ]
 
 
@@ -542,3 +542,42 @@ def f2_pairing(x: LaurentChain, y: LaurentChain) -> int:
     """Pairing of a chain in C with a chain in dual(C): generators pair
     with their starred duals, exponents pair when they sum to -1."""
     return sum((_dual_id(g), -1 - i) in y.terms for g, i in x.terms) & 1
+
+
+def pairing_check(cx: GradedComplex) -> dict:
+    """Duality of C, with a finite plus flavor: the rank of the pairing
+    matrix of the plus basis against the minus torsion basis of dual(C),
+    and whether trace o cotrace is rank(C) mod 2, as ``pairing-check``
+    prints them."""
+    red = reduce_complex(cx)
+    if red.one_steps:
+        raise InfinityNotZero(
+            "free summands survive inverting U; the pairing check needs a "
+            "finite plus flavor")
+    plus = _h_plus(red)
+    # dual(C) gets a reduction of its own, not C's transposed, so the two
+    # bases of the pairing matrix come from independent reductions
+    red_minus = h_red(dual(cx), "minus")
+    # f2_pairing by index: bit j of holds[term] says dual class j has term
+    holds: dict[tuple[str, int], int] = {}
+    for j, y in enumerate(red_minus.basis):
+        for term in y.terms:
+            holds[term] = holds.get(term, 0) | 1 << j
+    rows = []
+    for x in plus.basis:
+        bits = 0
+        for g, i in x.terms:
+            bits ^= holds.get((_dual_id(g), -1 - i), 0)
+        rows.append(bits)
+    matrix_rank = rank(rows)
+    # trace o cotrace (1) in the reduced basis, the columns of Q with the
+    # rows of Q^-1 as dual basis: sum_k (Q^-1 Q)[k][k], series mod U^cap
+    q, qi = red.series_transform()
+    traced = 0
+    for col, row in zip(q, qi):
+        for i in row.keys() & col.keys():
+            traced ^= _pmul(row[i], col[i])
+    dim = plus.f2_dimension
+    return {"dimension": dim, "matrix_rank": matrix_rank,
+            "invertible": matrix_rank == dim == red_minus.f2_dimension,
+            "trace_cotrace_ok": traced & ((1 << red.cap) - 1) == cx.rank % 2}

@@ -150,7 +150,7 @@ class Poly:
         if k < 0:
             raise ValueError("negative exponent")
         _check_degree(k)
-        return cls(1 << k)
+        return _poly(1 << k)
 
     @classmethod
     def of(cls, *exponents: int) -> "Poly":
@@ -158,11 +158,11 @@ class Poly:
         for k in exponents:
             _check_degree(k)
             bits ^= 1 << k
-        return cls(bits)
+        return _poly(bits)
 
     @classmethod
     def parse(cls, text: str, line: int | None = None) -> "Poly":
-        return cls(_parse_bits(text, line=line))
+        return _poly(_parse_bits(text, line=line))
 
     # -- ring structure --
 

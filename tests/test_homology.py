@@ -40,6 +40,7 @@ from uchain.homology import (
     _Window,
     _delta_inverse,
     _exact_at,
+    _induced,
     _les_at_window,
     chain_to_json,
     delta,
@@ -52,7 +53,7 @@ from uchain.homology import (
     les_exactness_check,
     mapping_torus_betti,
 )
-from uchain import lefschetz
+from uchain import homology, lefschetz
 from uchain.lefschetz import (cotrace_map, delta_quantity, phi_dual,
                               verify_proposition)
 from uchain.normal_form import (
@@ -68,7 +69,7 @@ from uchain.scalars import LocalScalar, Poly, _pmul
 
 from conftest import mixed_complex, scrambled, torsion_complex, two_step
 from f2_reference import (QuotientSlice, chain_of, greedy_window_homology,
-                          mask_of, solve)
+                          mask_of, solve, span_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def _stable_plus_dimension(cx: GradedComplex, grading: int,
         c = wb.class_of(chain)
         assert c is not None
         image.append(c)
-    return rank(image)
+    return span_rank(image)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +557,7 @@ class _StandaloneWindow:
 
 def _reference_joint(in_cols: list[int], out_cols: list[int],
                      mid_dim: int) -> dict:
-    image, kernel = rank(in_cols), mid_dim - rank(out_cols)
+    image, kernel = span_rank(in_cols), mid_dim - span_rank(out_cols)
     composite = [0] * len(in_cols)
     for k, c in enumerate(in_cols):
         for i, col in enumerate(out_cols):
@@ -947,6 +948,35 @@ def test_window_homology_refuses_a_width_past_its_own():
     with pytest.raises(CrossCheckMismatch,
                        match="width 6 reads past the window's width 5"):
         window.homology(1, 6)
+
+
+def test_induced_map_refuses_an_image_outside_the_window_homology():
+    # the lowest row's copy of a has boundary U^3 b inside a window of
+    # width 5, so it is no cycle there and has no class
+    cx = two_step(3)
+    q = _Window(cx, 5).homology(1)
+    assert q.reps
+    with pytest.raises(CrossCheckMismatch,
+                       match="induced image left the homology of the window"):
+        _induced(q, lambda v: 1 << 4 * cx.rank + cx._index["a"], q)
+
+
+def test_exactness_check_refuses_a_verdict_that_flips_at_double_width(
+        monkeypatch):
+    real, widths = homology._les_at_window, []
+
+    def flip_the_second(window, width):
+        widths.append(width)
+        report = real(window, width)
+        if len(widths) == 2:
+            report = {**report, "exact": not report["exact"]}
+        return report
+
+    monkeypatch.setattr(homology, "_les_at_window", flip_the_second)
+    with pytest.raises(CrossCheckMismatch,
+                       match="window doubling flipped the exactness verdict"):
+        les_exactness_check(two_step(3))
+    assert widths == [8, 16]
 
 
 def test_exactness_check_refuses_large_ranks():

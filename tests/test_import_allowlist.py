@@ -1,6 +1,7 @@
 """Every module-level import in ``src/uchain/`` is package-relative or
-from a short list of standard-library modules, and the tests' F2
-reference takes nothing from ``uchain.gf2`` but ``set_bits``.
+from a short list of standard-library modules, the tests' F2 reference
+takes nothing from ``uchain.gf2`` but ``set_bits``, and the CLI takes no
+private name from the package.
 
 ``import uchain, uchain.cli`` is what every CLI invocation pays before it
 does any work, so a module-level import of anything heavier (a process
@@ -97,3 +98,31 @@ def test_the_gf2_check_sees_every_way_in():
         "from uchain.gf2 import set_bits, rank\nimport uchain.scalars\n"
         "def f():\n    from uchain.gf2 import Quotient\n")
     assert _from_gf2(tree) == ["gf2", "gf2", "set_bits", "rank", "Quotient"]
+
+
+def _private_from_package(tree: ast.Module) -> list[str]:
+    """``_``-prefixed names imported anywhere in ``tree`` from the package,
+    relatively or as ``uchain``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "uchain"):
+            out += [a.name for a in node.names if a.name.startswith("_")]
+    return out
+
+
+def test_the_cli_imports_no_private_name_from_the_package():
+    """Each verb is one call into the library, so what the CLI computes
+    lives in the library; an engine's private name here would mean a verb
+    doing that work itself."""
+    tree = ast.parse((_PACKAGE / "cli.py").read_text())
+    assert _private_from_package(tree) == []
+
+
+def test_the_private_import_check_sees_every_way_in():
+    tree = ast.parse(
+        "from .complexes import _dual_id, dual\n"
+        "from uchain.scalars import _pmul\nfrom . import _x\n"
+        "from __future__ import annotations\nfrom os import _exit\n"
+        "def f():\n    from ..homology import _h_plus\n")
+    assert _private_from_package(tree) == ["_dual_id", "_pmul", "_x", "_h_plus"]

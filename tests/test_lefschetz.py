@@ -566,6 +566,27 @@ def test_stable_traces_refuse_an_image_past_the_stable_prefix():
         lefschetz._stable_traces(window, templates, 2, 3)
 
 
+def test_the_oracle_refuses_a_trace_that_moves_when_the_window_doubles(
+        monkeypatch):
+    # both passes read the same stable classes, so a second pass that
+    # reads another trace means one of the windows is wrong
+    real, calls = lefschetz._stable_traces, []
+
+    def flip_the_second(window, templates, small, big):
+        calls.append(small)
+        traces = real(window, templates, small, big)
+        if len(calls) == 2:
+            traces = {g: t ^ 1 for g, t in traces.items()}
+        return traces
+
+    monkeypatch.setattr(lefschetz, "_stable_traces", flip_the_second)
+    cx = two_step(3)
+    with pytest.raises(CrossCheckMismatch,
+                       match="doubling the window moved the trace"):
+        lefschetz_by_grading(cx, identity_map(cx))
+    assert len(calls) == 2
+
+
 def test_quantity_equals_oracle_on_seeded_trials():
     for seed in range(60):
         cx = torsion_complex(seed, max_rank=6, max_exponent=5)

@@ -13,8 +13,8 @@ from uchain import normal_form
 from uchain.complexes import (GradedComplex, _accumulate, build_complex,
                                complex_to_text, compose, dual, identity_map,
                                map_to_text, tensor)
-from uchain.errors import (ExponentOverflow, ParameterOutOfRange,
-                           RankTooLarge)
+from uchain.errors import (CrossCheckMismatch, ExponentOverflow,
+                           ParameterOutOfRange, RankTooLarge)
 from uchain.homology import h_minus, h_plus, h_red
 from uchain.lefschetz import (delta_quantity, lefschetz_by_grading,
                               verify_proposition)
@@ -74,6 +74,15 @@ def test_unit_differential_cancels_the_pair_entirely():
     red = reduce_complex(cx)
     assert red.normal_form == NormalForm((), ())
     assert red.cancelled_pairs == 1
+
+
+def test_reduction_refuses_a_pivot_pair_that_does_not_split_off():
+    # built directly, past validation: a -> b -> c with both entries 1 has
+    # d^2 != 0, which the pivot loop's split check stands on
+    cx = GradedComplex("bad", ("a", "b", "c"), {"a": 2, "b": 1, "c": 0},
+                       {("b", "a"): Poly(1), ("c", "b"): Poly(1)})
+    with pytest.raises(CrossCheckMismatch, match="pivot pair did not split off"):
+        reduce_complex(cx)
 
 
 def test_classify_selects_the_minimal_valuation_pivot():

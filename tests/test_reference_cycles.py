@@ -105,7 +105,7 @@ def test_cli_verbs_leave_no_cyclic_garbage(argv, tmp_path):
         [a.format_map({k: tmp_path / k for k in files}) for a in argv])
 
     def call():
-        payload, code = cli._COMMANDS[args.verb](args)
+        payload, code = args.run(args)
         assert code == 0, payload
 
     _assert_no_cyclic_garbage(call)

@@ -245,6 +245,31 @@ def test_valuation_of_fraction_is_valuation_of_numerator():
     assert LocalScalar(0).valuation() == math.inf
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Poly(-1), ValueError, "negative bit mask"),
+    (lambda: Poly.u(-1), ValueError, "negative exponent"),
+    (lambda: Poly.of(0, 3) // Poly(0), ZeroDivisionError, "division by zero"),
+    (lambda: Poly.of(0, 3) % Poly(0), ZeroDivisionError, "division by zero"),
+    (lambda: LocalScalar(1, 0), ZeroDivisionError, "zero denominator"),
+    (lambda: LocalScalar(1) / LocalScalar(0), NotAUnit, "division by zero"),
+], ids=["negative-mask", "negative-exponent", "poly-floordiv-zero",
+        "poly-mod-zero", "zero-denominator", "local-division-by-zero"])
+def test_the_scalar_api_refuses_what_it_cannot_represent(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@given(n=polys, d=unit_polys, c=unit_polys)
+def test_equal_scalars_hash_equal(n: Poly, d: Poly, c: Poly):
+    # equal values built by different routes must collapse in a set
+    assert Poly.of(*n.exponents()) == n
+    assert hash(Poly.of(*n.exponents())) == hash(n)
+    assert hash(Poly.parse(str(n))) == hash(n)
+    assert LocalScalar(n * c, d * c) == LocalScalar(n, d)
+    assert hash(LocalScalar(n * c, d * c)) == hash(LocalScalar(n, d))
+    assert len({LocalScalar(n * c, d * c), LocalScalar(n, d)}) == 1
+
+
 # ---------------------------------------------------------------------------
 # text syntax
 
