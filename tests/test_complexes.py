@@ -467,6 +467,15 @@ def test_parse_map_checks_declared_complex_names():
         parse_chain_map(text, cx, cx)
 
 
+def test_parse_map_rejects_unknown_directives():
+    cx = two_step(2)
+    text = map_to_text(identity_map(cx)) + "g a a 1\n"
+    with pytest.raises(ParseError, match="unknown directive") as exc:
+        parse_chain_map(text, cx, cx)
+    assert f"line {text.count(chr(10))}" in exc.value.detail
+    assert "'g'" in exc.value.detail
+
+
 def test_parse_map_requires_a_degree_line():
     cx = two_step(2)
     text = "\n".join(ln for ln in map_to_text(identity_map(cx)).splitlines()

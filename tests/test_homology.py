@@ -52,6 +52,7 @@ from uchain.homology import (
     h_red,
     les_exactness_check,
     mapping_torus_betti,
+    pairing_check,
 )
 from uchain import homology, lefschetz
 from uchain.lefschetz import (cotrace_map, delta_quantity, phi_dual,
@@ -1094,6 +1095,18 @@ def test_pairing_of_plus_basis_with_dual_red_basis_is_perfect():
                 row |= f2_pairing(x, y) << j
             matrix_rows.append(row)
         assert rank(matrix_rows) == len(xs)
+
+
+def test_pairing_check_reads_a_perfect_pairing_and_refuses_free_summands():
+    for seed in range(15):
+        cx = torsion_complex(seed, max_rank=6, max_exponent=4)
+        dim = h_plus(cx).f2_dimension
+        assert pairing_check(cx) == {"dimension": dim, "matrix_rank": dim,
+                                     "invertible": True,
+                                     "trace_cotrace_ok": True}
+    with pytest.raises(InfinityNotZero,
+                       match="the pairing check needs a finite plus flavor"):
+        pairing_check(build_complex("pt", [("x", 0)]))
 
 
 def test_plus_dimension_matches_dual_red_dimension():

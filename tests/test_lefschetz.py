@@ -568,8 +568,8 @@ def test_stable_traces_refuse_an_image_past_the_stable_prefix():
 
 def test_the_oracle_refuses_a_trace_that_moves_when_the_window_doubles(
         monkeypatch):
-    # both passes read the same stable classes, so a second pass that
-    # reads another trace means one of the windows is wrong
+    # the two passes read the stable classes at two widths; traces that
+    # differ mean one of the windows is wrong, so neither is printed
     real, calls = lefschetz._stable_traces, []
 
     def flip_the_second(window, templates, small, big):
