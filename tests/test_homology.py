@@ -383,7 +383,8 @@ def _bounds_in_polynomial_range(cx: GradedComplex, target: LaurentChain) -> bool
 
 
 def test_delta_inverse_requires_vanishing_infinity_flavor():
-    with pytest.raises(InfinityNotZero):
+    with pytest.raises(InfinityNotZero, match="^1 free summands survive "
+                       "inverting U; the connecting map is not invertible$"):
         delta_inverse(build_complex("pt", [("x", 0)]), LaurentChain.of(("x", 0)))
 
 
