@@ -549,11 +549,8 @@ def pairing_check(cx: GradedComplex) -> dict:
     matrix of the plus basis against the minus torsion basis of dual(C),
     and whether trace o cotrace is rank(C) mod 2, as ``pairing-check``
     prints them."""
-    red = reduce_complex(cx)
-    if red.one_steps:
-        raise InfinityNotZero(
-            "free summands survive inverting U; the pairing check needs a "
-            "finite plus flavor")
+    red = reduce_complex(cx).finite(
+        "the pairing check needs a finite plus flavor")
     plus = _h_plus(red)
     # dual(C) gets a reduction of its own, not C's transposed, so the two
     # bases of the pairing matrix come from independent reductions

@@ -35,7 +35,7 @@ from .complexes import (ChainMap, GradedComplex, _chain_map,
                         _dual_id, _mat_mul, _pair_id, complex_to_text, dual,
                         identity_map, map_to_text, tensor, unit_complex)
 from .errors import (ComplexMismatch, CrossCheckMismatch, DegreeMismatch,
-                     InfinityNotZero, ParameterOutOfRange)
+                     ParameterOutOfRange)
 from .homology import _Window
 from .normal_form import (random_basis_change, random_chain_map,
                           random_normal_form, realize, reduce_complex)
@@ -101,10 +101,7 @@ def delta_quantity(cx: GradedComplex, f: ChainMap, *,
     a column of Q and b* a row of Q^-1.
     """
     _check_endomorphism(cx, f)
-    red = reduce_complex(cx)
-    if red.one_steps:
-        raise InfinityNotZero(
-            "free summands survive inverting U; the quantity is undefined")
+    red = reduce_complex(cx).finite("the quantity is undefined")
     if _phi_dual_override is None:   # phi(cx), on positions
         phi_at = {k: dp for k, p in cx._at.items() if (dp := p.derivative())}
     else:   # phi-dual's transpose on C, g* sitting at g's position
@@ -170,11 +167,7 @@ def lefschetz_by_grading(cx: GradedComplex, f: ChainMap) -> dict[int, int]:
     mark where their stable prefixes end, and the certificate reads
     dimensions at n_max and small."""
     _check_endomorphism(cx, f)
-    red = reduce_complex(cx)
-    if red.one_steps:
-        raise InfinityNotZero(
-            "free summands survive inverting U; the plus flavor is "
-            "infinite dimensional")
+    red = reduce_complex(cx).finite("the plus flavor is infinite dimensional")
     n_max = red.normal_form.max_exponent
     small = n_max + 1
     window = _Window(cx, 2 * small + n_max)
@@ -260,15 +253,21 @@ def _trial_seed(campaign_seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _run_trial(campaign_seed: int, index: int, max_rank: int, max_exponent: int,
-               mutate_phi_dual: bool) -> TrialFailure | None:
+def _draw_trial(campaign_seed: int, index: int, max_rank: int,
+                max_exponent: int) -> tuple[int, GradedComplex, ChainMap]:
+    """Trial ``index``'s seed, and the complex and map drawn from it."""
     seed = _trial_seed(campaign_seed, index)
     rng = random.Random(seed)
     nf = random_normal_form(rng, max_rank, max_exponent, one_steps=False)
     base = realize(nf, name=f"trial{index}")
     cx = random_basis_change(base, seed=rng.getrandbits(32),
                              steps=rng.randint(0, 20))
-    f = random_chain_map(cx, rng.getrandbits(32))
+    return seed, cx, random_chain_map(cx, rng.getrandbits(32))
+
+
+def _run_trial(campaign_seed: int, index: int, max_rank: int, max_exponent: int,
+               mutate_phi_dual: bool) -> TrialFailure | None:
+    seed, cx, f = _draw_trial(campaign_seed, index, max_rank, max_exponent)
     override = identity_map(dual(cx)) if mutate_phi_dual else None
     dv = delta_quantity(cx, f, _phi_dual_override=override)
     ov = lefschetz_oracle(cx, f)

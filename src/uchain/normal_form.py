@@ -39,7 +39,8 @@ from functools import partial
 
 from .complexes import (ChainMap, GradedComplex, _accumulate, _chain_map,
                         _complex, _mat_mul, _named, identity_map)
-from .errors import CrossCheckMismatch, ParameterOutOfRange, RankTooLarge
+from .errors import (CrossCheckMismatch, InfinityNotZero, ParameterOutOfRange,
+                     RankTooLarge)
 from .scalars import (LS0, LS1, P1, LocalScalar, Poly, _pdivmod, _pgcd,
                       _pmul, _val)
 
@@ -114,6 +115,15 @@ class Reduction:
     def normal_form(self) -> NormalForm:
         return NormalForm(tuple(g for _, g in self.one_steps),
                           tuple((r.grading_a, r.exponent) for r in self.two_steps))
+
+    def finite(self, consequence: str) -> Reduction:
+        """This reduction, if no free summand survives inverting U;
+        otherwise ``InfinityNotZero``, its detail ending in the
+        ``consequence`` for the caller."""
+        if self.one_steps:
+            raise InfinityNotZero(
+                f"free summands survive inverting U; {consequence}")
+        return self
 
     # -- basis-change replay ------------------------------------------------
 

@@ -16,11 +16,10 @@ from uchain.complexes import (ChainMap, GradedComplex, LaurentChain,
                               tensor, tensor_map)
 from uchain.errors import InfinityNotZero
 from uchain.homology import _delta_inverse
-from uchain.lefschetz import (_check_endomorphism, _trial_seed, cotrace_map,
+from uchain.lefschetz import (_check_endomorphism, _draw_trial, cotrace_map,
                               phi_dual, trace_map)
 from uchain.normal_form import (NormalForm, random_basis_change,
-                                random_chain_map, random_normal_form, realize,
-                                reduce_complex)
+                                random_normal_form, realize, reduce_complex)
 from uchain.scalars import Poly
 
 
@@ -56,13 +55,8 @@ def mixed_complex(seed: int) -> GradedComplex:
 
 def campaign_trial(index: int) -> tuple[GradedComplex, ChainMap]:
     """Trial ``index`` of verify_proposition(20260814, ..., 8, 6): its
-    complex and chain endomorphism, drawn as ``lefschetz._run_trial``
-    draws them."""
-    rng = random.Random(_trial_seed(20260814, index))
-    nf = random_normal_form(rng, 8, 6, one_steps=False)
-    cx = random_basis_change(realize(nf, name=f"trial{index}"),
-                             seed=rng.getrandbits(32), steps=rng.randint(0, 20))
-    return cx, random_chain_map(cx, rng.getrandbits(32))
+    complex and chain endomorphism, from the campaign's own draw."""
+    return _draw_trial(20260814, index, 8, 6)[1:]
 
 
 def _positional(cx: GradedComplex, *maps: ChainMap) -> tuple:

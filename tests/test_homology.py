@@ -54,9 +54,8 @@ from uchain.homology import (
     mapping_torus_betti,
     pairing_check,
 )
-from uchain import homology, lefschetz
-from uchain.lefschetz import (cotrace_map, delta_quantity, phi_dual,
-                              verify_proposition)
+from uchain import homology
+from uchain.lefschetz import cotrace_map, phi_dual
 from uchain.normal_form import (
     NormalForm,
     Reduction,
@@ -68,7 +67,8 @@ from uchain.normal_form import (
 )
 from uchain.scalars import LocalScalar, Poly, _pmul
 
-from conftest import mixed_complex, scrambled, torsion_complex, two_step
+from conftest import (campaign_trial, mixed_complex, scrambled,
+                      torsion_complex, two_step)
 from f2_reference import (QuotientSlice, chain_of, greedy_window_homology,
                           mask_of, solve, span_rank)
 
@@ -780,20 +780,12 @@ def _assert_dim_counts_the_classes(cx: GradedComplex) -> None:
         window.dim(min(gradings), window.width + 1)
 
 
-def test_window_dim_counts_the_homology_classes(monkeypatch):
+def test_window_dim_counts_the_homology_classes():
     """``dim`` against the quotient ``homology`` builds, at every grading
     and width of the window: on campaign trials, on complexes with a
     cancelled pair and on complexes with 1-steps."""
-    trials = []
-
-    def collecting(cx, f, **kwargs):
-        trials.append(cx)
-        return delta_quantity(cx, f, **kwargs)
-
-    monkeypatch.setattr(lefschetz, "delta_quantity", collecting)
-    verify_proposition(20260814, 30, 8, 6)
-    assert len(trials) == 30
-    inputs = trials + [_with_a_cancelled_pair(seed) for seed in range(10)]
+    inputs = [campaign_trial(index)[0] for index in range(30)]
+    inputs += [_with_a_cancelled_pair(seed) for seed in range(10)]
     inputs += [cx for seed in range(10) for cx in _window_inputs(seed, True)]
     for cx in inputs:
         _assert_dim_counts_the_classes(cx)
