@@ -35,7 +35,7 @@ from uchain.errors import (
     ParameterOutOfRange,
     RankTooLarge,
 )
-from uchain.gf2 import rank, set_bits
+from uchain.gf2 import set_bits
 from uchain.homology import (
     _Window,
     _delta_inverse,
@@ -218,7 +218,7 @@ def test_plus_basis_matches_the_windowed_quotient_homology():
             wb = QuotientSlice(cx, big, grading)
             coords = [wb.class_of(rep) for rep in reps]
             assert all(c is not None for c in coords)
-            assert rank([c for c in coords if c is not None]) == len(reps)
+            assert span_rank([c for c in coords if c is not None]) == len(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1087,7 @@ def test_pairing_of_plus_basis_with_dual_red_basis_is_perfect():
             for j, y in enumerate(ys):
                 row |= f2_pairing(x, y) << j
             matrix_rows.append(row)
-        assert rank(matrix_rows) == len(xs)
+        assert span_rank(matrix_rows) == len(xs)
 
 
 def test_pairing_check_reads_a_perfect_pairing_and_refuses_free_summands():
