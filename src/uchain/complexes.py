@@ -51,7 +51,7 @@ from typing import (Any, Container, Hashable, Iterable, Iterator, Mapping,
 from .errors import (ComplexMismatch, DegreeMismatch, DifferentialNotSquareZero,
                      DuplicateGenerator, GradingViolation, NotAChainMap,
                      ParseError)
-from .scalars import P0, P1, Poly
+from .scalars import EXPONENT_LIMIT, P0, P1, Poly
 
 __all__ = [
     "GradedComplex", "ChainMap", "LaurentChain",
@@ -502,11 +502,20 @@ def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
 #                                        f <source> <target> <poly>
 
 
+_INTEGER = re.compile(r"(-?)0*([0-9]+)")
+
+
 def _integer(token: str, what: str, line: int) -> int:
-    """A ``-?[0-9]+`` token as an int; ``int`` also takes ``+1`` or ``1_0``."""
-    if not re.fullmatch(r"-?[0-9]+", token):
+    """A ``-?[0-9]+`` token of magnitude at most 2^20 as an int; ``int``
+    also takes ``+1`` or ``1_0``, and refuses past 4300 digits."""
+    m = _INTEGER.fullmatch(token)
+    if m is None:
         raise ParseError(f"{what} must be an integer", line=line, token=token)
-    return int(token)
+    sign, digits = m.groups()
+    if len(digits) > 7 or (value := int(digits)) > EXPONENT_LIMIT:
+        raise ParseError(f"{what} exceeds {EXPONENT_LIMIT} in magnitude",
+                         line=line)
+    return -value if sign else value
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

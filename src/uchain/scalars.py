@@ -95,7 +95,7 @@ def _series_inv(d: int, order: int) -> int:
     return x
 
 
-_MONOMIAL = re.compile(r"^(1|U|U\^([0-9]+))$")
+_MONOMIAL = re.compile(r"^(1|U|U\^0*([0-9]+))$")
 
 
 def _parse_bits(text: str, line: int | None = None) -> int:
@@ -115,11 +115,15 @@ def _parse_bits(text: str, line: int | None = None) -> int:
         elif part == "U":
             k = 1
         else:
-            k = int(m.group(2))
+            # _check_degree's test on the digits, leading zeros stripped,
+            # so int() never reads more than 7 (it refuses past 4300)
+            digits = m.group(2)
+            if len(digits) > 7 or (k := int(digits)) > EXPONENT_LIMIT:
+                raise ExponentOverflow(
+                    f"exponent {digits} exceeds limit {EXPONENT_LIMIT}")
             if k < 2:
                 raise ParseError("exponent syntax U^k requires k >= 2",
                                  line=line, token=part)
-        _check_degree(k)
         if bits >> k & 1:
             raise ParseError("repeated exponent", line=line, token=part)
         bits |= 1 << k

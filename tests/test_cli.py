@@ -406,6 +406,10 @@ def test_map_with_wrong_declared_source_exits_two(workdir, capsys):
      '(at \'f b b\')","kind":"ParseError"}'),
     (TWO_STEP_3, ID_MAP.replace("f a a 1", "f zz a 1"), 1,
      '{"detail":"unknown source generator \'zz\'","kind":"GradingViolation"}'),
+    # past the digits int() reads; the detail echoes the token's digits
+    pytest.param(TWO_STEP_3.replace("U^3", "U^" + "9" * 5000), ID_MAP, 1,
+                 '{"detail":"exponent ' + "9" * 5000 + ' exceeds limit '
+                 '1048576","kind":"ExponentOverflow"}', id="over-long exponent"),
 ])
 def test_input_errors_print_their_exact_payload(workdir, capsys, complex_text,
                                                 map_text, code, payload):
@@ -416,9 +420,12 @@ def test_input_errors_print_their_exact_payload(workdir, capsys, complex_text,
         code, '{"error":' + payload + "}\n")
 
 
-@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "1048577",
+                                   pytest.param("9" * 5000, id="5000 digits")])
 def test_integers_outside_the_grammar_exit_three(workdir, capsys, token):
-    # int() alone would read these as 10, 1 and 1 (an Arabic-Indic digit)
+    # int() alone would read the first three as 10, 1 and 1 (an
+    # Arabic-Indic digit); the last two are past 2^20 in magnitude, and
+    # int() refuses a token of 5000 digits outright
     bad = workdir / "lenient.cx"
     bad.write_text(f"complex two\ngen a {token}\ngen b 0\n", encoding="utf-8")
     code, out = _run(capsys, ["classify", str(bad)])

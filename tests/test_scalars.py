@@ -311,6 +311,8 @@ def test_exponents_beyond_the_limit_are_rejected():
         Poly.u(EXPONENT_LIMIT + 1)
     with pytest.raises(ExponentOverflow):
         Poly.parse(f"U^{EXPONENT_LIMIT + 1}")
+    with pytest.raises(ExponentOverflow):   # past the digits int() reads
+        Poly.parse("U^" + "9" * 5000)
 
 
 def test_multiplication_overflow_is_caught():
