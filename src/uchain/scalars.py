@@ -115,8 +115,9 @@ def _parse_bits(text: str, line: int | None = None) -> int:
         elif part == "U":
             k = 1
         else:
-            # _check_degree's test on the digits, leading zeros stripped,
-            # so int() never reads more than 7 (it refuses past 4300)
+            # _check_degree's test, made on the digits (leading zeros
+            # stripped) so that int() never reads more than 7 of them:
+            # 8 are past 2^20, and int() refuses past 4300
             digits = m.group(2)
             if len(digits) > 7 or (k := int(digits)) > EXPONENT_LIMIT:
                 raise ExponentOverflow(
